@@ -63,10 +63,11 @@ core::ReliabilityModel make_reliability() {
   return reliability;
 }
 
-core::CircuitFmeaOptions options_with_jobs(int jobs, bool batch = true, bool sparse = true) {
+/// `sparse = false` is the dense-only `--no-sparse` campaign: no fast path,
+/// one dense solve ladder per fault.
+core::CircuitFmeaOptions options_with_jobs(int jobs, bool sparse = true) {
   core::CircuitFmeaOptions options;
   options.jobs = jobs;
-  options.batch = batch;
   options.sparse = sparse;
   options.solver.sparse = sparse;
   return options;
@@ -98,11 +99,10 @@ void verify_determinism() {
               serial.rows.size());
 }
 
-void run_campaign(benchmark::State& state, int stages, int jobs, bool batch = true,
-                  bool sparse = true) {
+void run_campaign(benchmark::State& state, int stages, int jobs, bool sparse = true) {
   const auto built = make_rail(stages);
   const auto reliability = make_reliability();
-  const auto options = options_with_jobs(jobs, batch, sparse);
+  const auto options = options_with_jobs(jobs, sparse);
   size_t faults = 0;
   for (auto _ : state) {
     const auto fmea = core::analyze_circuit(built, reliability, nullptr, options);
@@ -112,6 +112,10 @@ void run_campaign(benchmark::State& state, int stages, int jobs, bool batch = tr
   state.SetItemsProcessed(static_cast<int64_t>(faults));
 }
 
+/// The default campaign: one shared stamp plan and symbolic analysis, then
+/// numeric refactorisation per fault. Swept from small rails, where the
+/// dense per-fault factor is cheap, into the sizes where it becomes the
+/// campaign cost.
 void BM_CampaignSerial(benchmark::State& state) {
   run_campaign(state, static_cast<int>(state.range(0)), 1);
 }
@@ -120,35 +124,20 @@ BENCHMARK(BM_CampaignSerial)
     ->Arg(8)
     ->Arg(24)
     ->Arg(48)
+    ->Arg(96)
+    ->Arg(192)
     ->Unit(benchmark::kMillisecond);
 
-/// The classic one-solve-per-fault dense path (--no-batch --no-sparse), same
-/// subjects as BM_CampaignSerial: the ratio of the two is the factor-once
-/// speedup, and the ratio against BM_CampaignSparseSerial is the sparse
-/// refactor-everywhere speedup.
+/// The classic one-solve-per-fault dense path (--no-sparse), same subjects
+/// as BM_CampaignSerial: the ratio of the two is the factor-once speedup.
 void BM_CampaignNaiveSerial(benchmark::State& state) {
-  run_campaign(state, static_cast<int>(state.range(0)), 1, /*batch=*/false,
-               /*sparse=*/false);
+  run_campaign(state, static_cast<int>(state.range(0)), 1, /*sparse=*/false);
 }
 BENCHMARK(BM_CampaignNaiveSerial)
     ->ArgName("stages")
     ->Arg(8)
     ->Arg(24)
     ->Arg(48)
-    ->Unit(benchmark::kMillisecond);
-
-/// The sparse tier alone (--no-batch, sparse on): one symbolic analysis of
-/// the nominal pattern, then numeric refactorisation per fault. Swept into
-/// the sizes where the dense per-fault factor becomes the campaign cost.
-void BM_CampaignSparseSerial(benchmark::State& state) {
-  run_campaign(state, static_cast<int>(state.range(0)), 1, /*batch=*/false,
-               /*sparse=*/true);
-}
-BENCHMARK(BM_CampaignSparseSerial)
-    ->ArgName("stages")
-    ->Arg(48)
-    ->Arg(96)
-    ->Arg(192)
     ->Unit(benchmark::kMillisecond);
 
 void BM_CampaignParallel(benchmark::State& state) {
@@ -247,72 +236,44 @@ void verify_shard_merge() {
               "unsharded FMEDA byte-identically\n\n");
 }
 
-/// Batched-identity gate: the factor-once campaign must emit exactly the
-/// naive campaign's bytes — CSV and warnings — serial and parallel, before
-/// any batched timing means anything.
-void verify_batched_identity() {
-  const auto built = make_rail(12);
-  const auto reliability = make_reliability();
-  const auto naive =
-      core::analyze_circuit(built, reliability, nullptr, options_with_jobs(1, false, false));
-  for (const int jobs : {1, 8}) {
-    const auto batched =
-        core::analyze_circuit(built, reliability, nullptr, options_with_jobs(jobs, true));
-    expect(write_csv(naive.to_csv()) == write_csv(batched.to_csv()),
-           "batched FMEDA table differs from naive");
-    expect(naive.warnings == batched.warnings, "batched warnings differ from naive");
-  }
-  std::printf("batched identity verified: factor-once campaign byte-identical "
-              "to one-solve-per-fault (jobs 1 and 8)\n\n");
-}
-
-/// Sparse-identity gate: at every swept size below the throughput subject,
-/// both the sparse tier alone (--no-batch) and the default batch+sparse
-/// ladder must emit exactly the dense-only campaign's bytes, serial and
-/// parallel. The 192-stage subject is covered inside the throughput gate,
-/// which compares the very runs it times.
+/// Identity gate: at every swept size below the throughput subject, the
+/// default campaign must emit exactly the dense-only campaign's bytes — CSV
+/// and warnings — serial and parallel, before any timing means anything.
+/// The 192-stage subject is covered inside the throughput gate, which
+/// compares the very runs it times.
 void verify_sparse_identity() {
   const auto reliability = make_reliability();
   for (const int stages : {12, 48, 96}) {
     const auto built = make_rail(stages);
-    const auto dense = core::analyze_circuit(built, reliability, nullptr,
-                                             options_with_jobs(1, false, false));
+    const auto dense =
+        core::analyze_circuit(built, reliability, nullptr, options_with_jobs(1, false));
     const auto dense_csv = write_csv(dense.to_csv());
     for (const int jobs : {1, 8}) {
-      const auto sparse_only = core::analyze_circuit(built, reliability, nullptr,
-                                                     options_with_jobs(jobs, false, true));
-      expect(dense_csv == write_csv(sparse_only.to_csv()),
-             "sparse-tier FMEDA table differs from dense-only");
-      expect(dense.warnings == sparse_only.warnings,
-             "sparse-tier warnings differ from dense-only");
-      const auto combined = core::analyze_circuit(built, reliability, nullptr,
-                                                  options_with_jobs(jobs, true, true));
-      expect(dense_csv == write_csv(combined.to_csv()),
-             "batch+sparse FMEDA table differs from dense-only");
-      expect(dense.warnings == combined.warnings,
-             "batch+sparse warnings differ from dense-only");
+      const auto fast = core::analyze_circuit(built, reliability, nullptr, options_with_jobs(jobs));
+      expect(dense_csv == write_csv(fast.to_csv()),
+             "default campaign FMEDA table differs from dense-only");
+      expect(dense.warnings == fast.warnings,
+             "default campaign warnings differ from dense-only");
     }
   }
-  std::printf("sparse identity verified: sparse tier and batch+sparse ladder "
-              "byte-identical to dense-only at 12/48/96 stages (jobs 1 and 8)\n\n");
+  std::printf("identity verified: default campaign byte-identical to dense-only "
+              "at 12/48/96 stages (jobs 1 and 8)\n\n");
 }
 
 /// Throughput gate (acceptance criterion): on the shared-pattern 192-stage
-/// rail the single-thread batched campaign must run >= 10x faster than the
-/// dense-only naive one, and the sparse tier alone (--no-batch) >= 3x. The
-/// expensive dense run is timed once and shared by both ratios, and the
-/// three timed runs double as the 192-stage byte-identity check.
+/// rail the single-thread default campaign must run >= 10x faster than the
+/// dense-only naive one. The two timed runs double as the 192-stage
+/// byte-identity check.
 void verify_throughput_gate() {
   const auto built = make_rail(192);
   const auto reliability = make_reliability();
-  const auto naive_options = options_with_jobs(1, false, false);
-  const auto sparse_options = options_with_jobs(1, false, true);
-  const auto batched_options = options_with_jobs(1, true, true);
-  // One untimed pass each to warm allocators and page in the code.
-  (void)core::analyze_circuit(built, reliability, nullptr, batched_options);
+  const auto naive_options = options_with_jobs(1, false);
+  const auto fast_options = options_with_jobs(1);
+  // One untimed pass to warm allocators and page in the code.
+  (void)core::analyze_circuit(built, reliability, nullptr, fast_options);
 
-  std::string csv[3];
-  std::vector<std::string> warnings[3];
+  std::string csv[2];
+  std::vector<std::string> warnings[2];
   const auto time_one = [&](const core::CircuitFmeaOptions& options, int slot) {
     const auto start = std::chrono::steady_clock::now();
     const auto fmea = core::analyze_circuit(built, reliability, nullptr, options);
@@ -323,20 +284,15 @@ void verify_throughput_gate() {
     return elapsed.count();
   };
   const double naive_s = time_one(naive_options, 0);
-  const double sparse_s = time_one(sparse_options, 1);
-  const double batched_s = time_one(batched_options, 2);
+  const double fast_s = time_one(fast_options, 1);
   expect(csv[1] == csv[0] && warnings[1] == warnings[0],
-         "192-stage sparse-tier FMEDA differs from dense-only");
-  expect(csv[2] == csv[0] && warnings[2] == warnings[0],
-         "192-stage batch+sparse FMEDA differs from dense-only");
-  const double batched_speedup = naive_s / batched_s;
-  const double sparse_speedup = naive_s / sparse_s;
-  std::printf("throughput gate: naive %.3fs, sparse %.3fs (%.1fx, floor 3x), "
-              "batched %.3fs (%.1fx, floor 10x) single-thread\n\n",
-              naive_s, sparse_s, sparse_speedup, batched_s, batched_speedup);
+         "192-stage default campaign FMEDA differs from dense-only");
+  const double speedup = naive_s / fast_s;
+  std::printf("throughput gate: naive %.3fs, default %.3fs (%.1fx, floor 10x) "
+              "single-thread\n\n",
+              naive_s, fast_s, speedup);
   std::fflush(stdout);
-  expect(batched_speedup >= 10.0, "batched campaign speedup below the 10x floor");
-  expect(sparse_speedup >= 3.0, "sparse campaign speedup below the 3x floor");
+  expect(speedup >= 10.0, "campaign speedup below the 10x floor");
 }
 
 }  // namespace
@@ -345,7 +301,6 @@ int main(int argc, char** argv) {
   std::printf("hardware concurrency: %u\n", std::thread::hardware_concurrency());
   verify_determinism();
   verify_shard_merge();
-  verify_batched_identity();
   verify_sparse_identity();
   verify_throughput_gate();
   return bench_obs::run_benchmarks(argc, argv, "campaign");

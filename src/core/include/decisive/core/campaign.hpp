@@ -93,22 +93,17 @@ class CampaignRunner {
   [[nodiscard]] std::vector<size_t> shard_task_indices() const;
 
  private:
-  /// `batch`/`batch_ws` carry the factor-once campaign context and
-  /// `sparse`/`sparse_ws` the shared-symbolic sparse tier (null when the
-  /// respective path is disabled or unusable); the first attempt tries the
-  /// low-rank solve, then the sparse refactorisation, and every
-  /// fallback/retry re-runs the classic dense ladder.
+  /// `context`/`ws` carry the campaign's factor-once solve context and this
+  /// worker's scratch (null when the fast path is disabled or unusable); the
+  /// first attempt tries the fast path, and every fallback/retry re-runs the
+  /// classic dense ladder.
   [[nodiscard]] FmedaRow run_task(const Task& task, const sim::OperatingPoint& baseline,
-                                  const sim::CampaignSolveContext* batch,
-                                  sim::CampaignSolveContext::Workspace* batch_ws,
-                                  const sim::CampaignSparseContext* sparse,
-                                  sim::CampaignSparseContext::Workspace* sparse_ws) const;
+                                  const sim::CampaignSparseContext* context,
+                                  sim::CampaignSparseContext::Workspace* ws) const;
   [[nodiscard]] FmedaRow run_task_once(const Task& task, const sim::OperatingPoint& baseline,
                                        const sim::SolveOptions& solver, int attempt,
-                                       const sim::CampaignSolveContext* batch,
-                                       sim::CampaignSolveContext::Workspace* batch_ws,
-                                       const sim::CampaignSparseContext* sparse,
-                                       sim::CampaignSparseContext::Workspace* sparse_ws) const;
+                                       const sim::CampaignSparseContext* context,
+                                       sim::CampaignSparseContext::Workspace* ws) const;
 
   const sim::BuiltCircuit& built_;
   const SafetyMechanismModel* sm_model_;

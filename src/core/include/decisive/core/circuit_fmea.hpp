@@ -74,22 +74,20 @@ struct CircuitFmeaOptions {
   /// Campaign worker threads: 1 = serial, 0 = hardware concurrency. The
   /// FMEDA output is byte-identical for any value.
   int jobs = 1;
-  /// Factor-once batched campaign solving (campaign_solver.hpp): solve the
-  /// nominal system once and apply eligible faults as low-rank updates,
-  /// falling back to the classic per-fault ladder whenever any correctness
-  /// gate trips. Output is byte-identical either way, so — like `jobs` and
-  /// the shard spec — this flag is deliberately excluded from the campaign
-  /// fingerprint and journals interchange freely between the two modes.
-  /// `false` is the `--no-batch` escape hatch.
+  /// Unread. It switched the batched low-rank campaign tier, which is gone:
+  /// the campaign has one fast path (`sparse` below). The field stays
+  /// declared only because the loopbench harness still assigns it; it goes
+  /// when that harness is next revised.
   bool batch = true;
-  /// Sparse middle tier of the campaign solve ladder (campaign_solver.hpp):
-  /// one symbolic analysis of the nominal stamp pattern, shared read-only by
-  /// every worker; same-structure faults refactor numerics only and
-  /// structural Open/Short faults reuse the symbolic prefix. Accepted only
-  /// behind the same correctness gates as the batched path — the naive
-  /// fallback always runs the dense kernel — so output is byte-identical
-  /// either way and, like `batch`, the flag is excluded from the campaign
-  /// fingerprint. `false` is the `--no-sparse` escape hatch.
+  /// The campaign's factor-once fast path (campaign_solver.hpp): one nominal
+  /// stamp plan and symbolic analysis, shared read-only by every worker.
+  /// Faults that keep the nominal stamp stream refactor numerics only, and
+  /// structural Open/Short faults reuse the symbolic prefix. Rows are
+  /// accepted only behind correctness gates — the naive fallback always
+  /// runs the dense kernel — so output is byte-identical either way and,
+  /// like `jobs` and the shard spec, the flag is excluded from the campaign
+  /// fingerprint, so journals interchange freely. `false` is the
+  /// `--no-sparse` escape hatch.
   bool sparse = true;
   /// Journal / shard / containment controls of the campaign run.
   CampaignExecution execution;

@@ -36,11 +36,9 @@ struct CampaignMetrics {
   obs::Counter& outcome_singular;
   obs::Counter& outcome_not_applicable;
   obs::Counter& outcome_crashed;
-  obs::Counter& batched_rows;
-  obs::Counter& batch_fallbacks;
-  obs::Counter& batch_near_threshold;
   obs::Counter& sparse_rows;
   obs::Counter& sparse_fallbacks;
+  obs::Counter& near_threshold;
   obs::Counter& retries;
   obs::Counter& checkpoint_replays;
   obs::Counter& journal_appends;
@@ -62,11 +60,9 @@ struct CampaignMetrics {
         registry.counter("decisive_campaign_outcome_singular_total"),
         registry.counter("decisive_campaign_outcome_not_applicable_total"),
         registry.counter("decisive_campaign_outcome_crashed_total"),
-        registry.counter("decisive_campaign_batched_rows_total"),
-        registry.counter("decisive_campaign_batch_fallback_total"),
-        registry.counter("decisive_campaign_batch_near_threshold_total"),
         registry.counter("decisive_campaign_sparse_rows_total"),
         registry.counter("decisive_campaign_sparse_fallback_total"),
+        registry.counter("decisive_campaign_near_threshold_total"),
         registry.counter("decisive_campaign_retries_total"),
         registry.counter("decisive_campaign_checkpoint_replays_total"),
         registry.counter("decisive_campaign_journal_appends_total"),
@@ -94,7 +90,7 @@ void count_outcome(const FmedaRow& row) {
 
 /// Classifies one injected fault by comparing operating points. When
 /// `margin_out` is non-null it receives the smallest distance of any
-/// observable's deviation from the classification threshold — the batched
+/// observable's deviation from the classification threshold — the fast
 /// path falls back to the naive solve when a reading sits on that knife
 /// edge, so ulp-level solver differences can never flip an effect class.
 EffectClass classify(const CircuitFmeaOptions& options, const sim::OperatingPoint& baseline,
@@ -118,8 +114,8 @@ EffectClass classify(const CircuitFmeaOptions& options, const sim::OperatingPoin
   return EffectClass::None;
 }
 
-/// Classification knife-edge band for the batched path: deviations this
-/// close to relative_threshold are re-decided by the naive solve.
+/// Classification knife-edge band for the fast path: deviations this close
+/// to relative_threshold are re-decided by the naive solve.
 constexpr double kClassifyGuard = 1e-6;
 
 /// Campaign fault-injection hooks (for the containment tests: the campaign
@@ -271,10 +267,8 @@ std::vector<size_t> CampaignRunner::shard_task_indices() const {
 FmedaRow CampaignRunner::run_task_once(const Task& task,
                                        const sim::OperatingPoint& baseline,
                                        const sim::SolveOptions& solver, int attempt,
-                                       const sim::CampaignSolveContext* batch,
-                                       sim::CampaignSolveContext::Workspace* batch_ws,
-                                       const sim::CampaignSparseContext* sparse,
-                                       sim::CampaignSparseContext::Workspace* sparse_ws) const {
+                                       const sim::CampaignSparseContext* context,
+                                       sim::CampaignSparseContext::Workspace* ws) const {
   FmedaRow row;
   row.component = task.component->path;
   row.component_type = task.reliability->component_type;
@@ -300,48 +294,22 @@ FmedaRow CampaignRunner::run_task_once(const Task& task,
     const sim::Circuit faulted = sim::inject_fault(
         built_.circuit, fault, solver.open_resistance, solver.closed_resistance);
 
-    // Batched fast path: solve against the campaign's shared nominal
-    // factorisation. Any fallback reason — structural fault, conditioning,
-    // slow convergence, classification knife edge — re-runs the fault
-    // through the naive path below, so the row bytes cannot diverge.
-    if (batch != nullptr && batch_ws != nullptr) {
+    // Fast path: refill and refactor the fault's numbers through the
+    // campaign's shared stamp plan and symbolic analysis (or the fault's own
+    // plan, for the few faults that change the stamp stream). Any fallback
+    // reason — conditioning, slow convergence, classification knife edge —
+    // re-runs the fault through the naive path below, so the row bytes
+    // cannot diverge.
+    if (context != nullptr && ws != nullptr) {
       CampaignMetrics& metrics = CampaignMetrics::get();
-      sim::SolveDiagnostics batch_diagnostics;
-      sim::BatchOutcome batch_outcome = sim::BatchOutcome::Disabled;
-      const auto batched =
-          batch->try_solve(faulted, fault, *batch_ws, batch_diagnostics, batch_outcome);
-      if (batched.has_value()) {
-        double margin = std::numeric_limits<double>::infinity();
-        const EffectClass effect = classify(options_, baseline, *batched, &margin);
-        if (margin > kClassifyGuard) {
-          row.solver_iterations = batch_diagnostics.iterations;
-          row.ladder_rung = 0;
-          row.outcome = FaultOutcome::Converged;
-          row.effect = effect;
-          row.safety_related = effect != EffectClass::None;
-          metrics.batched_rows.add();
-          return row;
-        }
-        metrics.batch_near_threshold.add();
-      }
-      metrics.batch_fallbacks.add();
-    }
-
-    // Sparse middle tier: refactor the fault's numbers through the shared
-    // symbolic analysis (or its surviving prefix, for structural faults).
-    // Accepted rows pass the same gate ladder as the batched path; anything
-    // else falls through to the naive dense solve below.
-    if (sparse != nullptr && sparse_ws != nullptr) {
-      CampaignMetrics& metrics = CampaignMetrics::get();
-      sim::SolveDiagnostics sparse_diagnostics;
-      sim::BatchOutcome sparse_outcome = sim::BatchOutcome::Disabled;
-      const auto solved =
-          sparse->try_solve(faulted, fault, *sparse_ws, sparse_diagnostics, sparse_outcome);
+      sim::SolveDiagnostics fast_diagnostics;
+      sim::FastPathOutcome fast_outcome = sim::FastPathOutcome::Disabled;
+      const auto solved = context->try_solve(faulted, fault, *ws, fast_diagnostics, fast_outcome);
       if (solved.has_value()) {
         double margin = std::numeric_limits<double>::infinity();
         const EffectClass effect = classify(options_, baseline, *solved, &margin);
         if (margin > kClassifyGuard) {
-          row.solver_iterations = sparse_diagnostics.iterations;
+          row.solver_iterations = fast_diagnostics.iterations;
           row.ladder_rung = 0;
           row.outcome = FaultOutcome::Converged;
           row.effect = effect;
@@ -349,7 +317,7 @@ FmedaRow CampaignRunner::run_task_once(const Task& task,
           metrics.sparse_rows.add();
           return row;
         }
-        metrics.batch_near_threshold.add();
+        metrics.near_threshold.add();
       }
       metrics.sparse_fallbacks.add();
     }
@@ -412,16 +380,13 @@ FmedaRow CampaignRunner::run_task_once(const Task& task,
 }
 
 FmedaRow CampaignRunner::run_task(const Task& task, const sim::OperatingPoint& baseline,
-                                  const sim::CampaignSolveContext* batch,
-                                  sim::CampaignSolveContext::Workspace* batch_ws,
-                                  const sim::CampaignSparseContext* sparse,
-                                  sim::CampaignSparseContext::Workspace* sparse_ws) const {
+                                  const sim::CampaignSparseContext* context,
+                                  sim::CampaignSparseContext::Workspace* ws) const {
   CampaignMetrics& metrics = CampaignMetrics::get();
   metrics.tasks.add();
   obs::Span span("campaign.task", &metrics.task_seconds);
 
-  FmedaRow row =
-      run_task_once(task, baseline, options_.solver, 0, batch, batch_ws, sparse, sparse_ws);
+  FmedaRow row = run_task_once(task, baseline, options_.solver, 0, context, ws);
 
   // Containment retries: a crashed or budget-exhausted task gets up to
   // max_retries re-runs, each with a fresh solve (the ladder restarts from
@@ -441,9 +406,9 @@ FmedaRow CampaignRunner::run_task(const Task& task, const sim::OperatingPoint& b
     if (tighter.max_wall_clock_seconds > 0) {
       tighter.max_wall_clock_seconds *= execution.retry_budget_scale;
     }
-    // Retries deliberately skip the batched and sparse paths: a crash/budget
-    // outcome is exactly the suspicious case the naive ladder must re-decide.
-    row = run_task_once(task, baseline, tighter, attempt, nullptr, nullptr, nullptr, nullptr);
+    // Retries deliberately skip the fast path: a crash/budget outcome is
+    // exactly the suspicious case the naive ladder must re-decide.
+    row = run_task_once(task, baseline, tighter, attempt, nullptr, nullptr);
     row.retries = attempt;
   }
 
@@ -564,7 +529,7 @@ FmedaResult CampaignRunner::run() const {
       obs::Span baseline_span("campaign.baseline");
       // The baseline anchors every row's classification, so it always runs
       // on the dense kernel: campaign bytes must not depend on the sparse
-      // default (the sparse tier is gated against exactly this baseline).
+      // default (the fast path is gated against exactly this baseline).
       sim::SolveOptions baseline_solver = options_.solver;
       baseline_solver.sparse = false;
       baseline = sim::try_dc_operating_point(built_.circuit, baseline_solver,
@@ -600,28 +565,17 @@ FmedaResult CampaignRunner::run() const {
     }
   }
 
-  // Step 1b: build the factor-once batched solve context (tentpole of the
-  // batched campaign). One symbolic analysis + one LU of the nominal
-  // Jacobian, shared read-only by every worker; faults that cannot be
-  // expressed as low-rank updates (or that trip any correctness gate inside
-  // try_solve) fall back to the classic per-fault ladder, so results are
-  // byte-identical with the batch on or off.
-  std::optional<sim::CampaignSolveContext> batch;
-  if (options_.batch && !pending.empty()) {
-    obs::Span context_span("campaign.batch_context");
-    batch.emplace(built_.circuit, options_.solver);
-    if (!batch->usable()) batch.reset();
-  }
-
-  // Step 1c: the sparse middle tier — one symbolic analysis of the nominal
-  // stamp pattern, shared read-only by every worker. Faults the batch
-  // declines (structural ones especially) refactor numerics through it
-  // before paying for a naive dense ladder run.
-  std::optional<sim::CampaignSparseContext> sparse;
+  // Step 1b: the factor-once solve context — one nominal stamp plan and one
+  // symbolic analysis, shared read-only by every worker. Faults that keep
+  // the nominal stamp stream refactor numerics only; faults it declines (or
+  // that trip any correctness gate inside try_solve) fall back to the
+  // classic per-fault dense ladder, so results are byte-identical with the
+  // context on or off.
+  std::optional<sim::CampaignSparseContext> context;
   if (options_.sparse && options_.solver.sparse && !pending.empty()) {
     obs::Span context_span("campaign.sparse_context");
-    sparse.emplace(built_.circuit, options_.solver);
-    if (!sparse->usable()) sparse.reset();
+    context.emplace(built_.circuit, options_.solver);
+    if (!context->usable()) context.reset();
   }
 
   // Step 2: execute the pending fault tasks. Faults are independent
@@ -629,11 +583,9 @@ FmedaResult CampaignRunner::run() const {
   // parallel; results land in pre-assigned slots, keeping output
   // deterministic for any job count.
   if (!pending.empty()) {
-    auto process = [&](size_t s, sim::CampaignSolveContext::Workspace& ws,
-                       sim::CampaignSparseContext::Workspace& sws, int worker_id) {
-      rows[s] = run_task(tasks_[shard[s]], *baseline, batch ? &*batch : nullptr,
-                         batch ? &ws : nullptr, sparse ? &*sparse : nullptr,
-                         sparse ? &sws : nullptr);
+    auto process = [&](size_t s, sim::CampaignSparseContext::Workspace& ws, int worker_id) {
+      rows[s] = run_task(tasks_[shard[s]], *baseline, context ? &*context : nullptr,
+                         context ? &ws : nullptr);
       if (journal != nullptr) {
         journal->append(shard[s], rows[s]);
         metrics.journal_appends.add();
@@ -649,9 +601,8 @@ FmedaResult CampaignRunner::run() const {
     metrics.jobs.set(static_cast<double>(jobs));
 
     if (jobs <= 1) {
-      sim::CampaignSolveContext::Workspace ws;
-      sim::CampaignSparseContext::Workspace sws;
-      for (const size_t s : pending) process(s, ws, sws, 0);
+      sim::CampaignSparseContext::Workspace ws;
+      for (const size_t s : pending) process(s, ws, 0);
     } else {
       const CrashHooks hooks = CrashHooks::from_env();
       std::atomic<size_t> next{0};
@@ -659,8 +610,7 @@ FmedaResult CampaignRunner::run() const {
       std::exception_ptr first_error;
       std::mutex error_mutex;
       auto worker = [&](int worker_id) {
-        sim::CampaignSolveContext::Workspace ws;
-        sim::CampaignSparseContext::Workspace sws;
+        sim::CampaignSparseContext::Workspace ws;
         try {
           for (size_t i = next.fetch_add(1); i < pending.size(); i = next.fetch_add(1)) {
             const size_t s = pending[i];
@@ -669,7 +619,7 @@ FmedaResult CampaignRunner::run() const {
               throw std::runtime_error(
                   "injected worker death (DECISIVE_CAMPAIGN_WORKER_DIE)");
             }
-            process(s, ws, sws, worker_id);
+            process(s, ws, worker_id);
           }
         } catch (...) {
           const std::lock_guard<std::mutex> lock(error_mutex);
@@ -699,10 +649,9 @@ FmedaResult CampaignRunner::run() const {
                  "campaign worker died (" + reason +
                      "); circuit breaker tripped — finishing serially");
         metrics.jobs.set(1.0);
-        sim::CampaignSolveContext::Workspace ws;
-        sim::CampaignSparseContext::Workspace sws;
+        sim::CampaignSparseContext::Workspace ws;
         for (const size_t s : pending) {
-          if (!done[s]) process(s, ws, sws, 0);
+          if (!done[s]) process(s, ws, 0);
         }
       }
     }

@@ -12,7 +12,7 @@
 //  - ratio ("per"): compare fresh.metric/fresh.per against
 //    baseline.metric/baseline.per. google-benchmark picks iteration counts
 //    adaptively, so raw counters scale with machine speed — but a ratio like
-//    batch fallbacks per task or solver iterations per solve is
+//    fast-path fallbacks per task or solver iterations per solve is
 //    iteration-invariant, which is what CI checks across machines.
 //
 // A mismatched document (wrong kind, schema_version, or bench name between

@@ -1,121 +1,92 @@
-// Factor-once batched solving for fault-injection campaigns.
+// Factor-once solving for fault-injection campaigns.
 //
-// Every fault variant's MNA system differs from the nominal one by (at most)
-// one component stamp — a textbook low-rank update. A CampaignSolveContext
-// performs the symbolic analysis and one LU factorisation of the nominal
-// Jacobian up front, then solves each eligible fault via Sherman–Morrison /
-// Woodbury updates against the shared factorisation, warm-started from the
-// nominal operating point. Faults that change the system structure (a
-// voltage source or DC inductor losing its branch unknown), updates whose
-// conditioning the per-iteration residual gate rejects, and solves that do
-// not converge quickly all fall back to the classic one-solve-per-fault path
-// — so the batched campaign's output is byte-identical to the naive one, it
-// is just 10–30x cheaper on the (dominant) well-behaved faults.
+// Every fault variant's MNA system is the nominal one with one element
+// changed. A CampaignSparseContext solves the nominal circuit once on the
+// sparse kernel and freezes its stamp plan (CSC pattern plus the slot each
+// stamp lands in) and its symbolic analysis, both shared read-only by every
+// worker. Structure is decided from the fault, not by rebuilding: a fault
+// that keeps the nominal stamp stream (see keeps_stamp_stream) adopts the
+// plan and the symbolic as they are, so its per-fault work is numeric refill
+// and refactorisation only — the assemble-once / step-many shape of an MNA
+// kit. Only a fault that changes the stream (an Open/Short turning a source
+// or DC inductor into a resistor, a capacitor short, ...) derives its own
+// plan: a deleted branch unknown reuses the untouched symbolic prefix, and
+// anything else factors afresh.
+//
+// Results are accepted only behind a gate ladder — clean rung-0 convergence
+// with iteration headroom, a full-system residual check against the exact
+// faulted matrix, and the MCU brown-out knife edge — and the caller re-runs
+// any declined fault on the naive dense path, so campaign output is
+// byte-identical to a dense-only campaign.
 //
 // Thread-safety: a context is immutable after construction; workers solve
 // concurrently against it, each with its own Workspace.
 #pragma once
 
-#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
 
 #include "decisive/sim/circuit.hpp"
-#include "decisive/sim/dense.hpp"
 #include "decisive/sim/fault.hpp"
 #include "decisive/sim/solver.hpp"
+#include "decisive/sim/sparse.hpp"
 
 namespace decisive::sim {
 
-/// Why one batched solve did (or did not) produce a result. Anything but
+/// Why one fast-path solve did (or did not) produce a result. Anything but
 /// `Solved` means the caller must re-run the fault through the naive path.
-enum class BatchOutcome {
-  Solved,         ///< low-rank solve converged and passed every gate
-  Structural,     ///< fault changes the MNA structure (or has no low-rank form)
-  Conditioning,   ///< update rejected: residual gate / singular small system /
-                  ///< too many active terms for a profitable low-rank solve
-  NotConverged,   ///< Newton did not converge fast enough on the shared factor
+enum class FastPathOutcome {
+  Solved,         ///< converged and passed every gate
+  Structural,     ///< faulted system is outside the context's contract
+                  ///< (empty, grown, on a different node set, or not
+                  ///< matching its plan's stamp stream)
+  Conditioning,   ///< singular factorisation, fill gate or residual gate
+  NotConverged,   ///< Newton did not converge with enough budget headroom
   NearThreshold,  ///< result lands on a classification knife edge (MCU supply
                   ///< at its brown-out boundary); naive path must decide
   Disabled,       ///< context unusable (nominal solve failed / trivial system)
 };
 
-std::string_view to_string(BatchOutcome outcome) noexcept;
+std::string_view to_string(FastPathOutcome outcome) noexcept;
 
-/// Shared per-campaign solve state: nominal operating point, assembled
-/// nominal Jacobian (factored and unfactored), and cached A^-1 u columns for
-/// every element that can carry a conductance delta.
-class CampaignSolveContext {
- public:
-  /// Per-worker scratch buffers. All storage a batched solve needs lives
-  /// here, so try_solve() is const and allocation-free after warm-up.
-  struct Workspace {
-    std::vector<double> rhs;            ///< assembled faulted RHS
-    std::vector<double> eff_diode_v;    ///< linearisation points used for the RHS stamp
-    std::vector<double> zb;             ///< A_nom^-1 rhs
-    std::vector<double> residual;       ///< full-system residual check
-    std::vector<int> term_col;          ///< active update terms: cached column ids
-    std::vector<std::size_t> term_elem; ///< active update terms: element index
-    std::vector<double> term_g;         ///< active update terms: conductance deltas
-    std::vector<double> small_rhs;
-    dense::LuFactorization<double> small_lu;
-    BatchOutcome step_outcome = BatchOutcome::NotConverged;
-  };
-
-  /// Solves the nominal circuit (plain Newton, no ladder) and builds the
-  /// shared factorisation. When the nominal solve fails or the system is
-  /// trivial, the context stays constructed but unusable() — every
-  /// try_solve() reports Disabled and the campaign runs naive.
-  CampaignSolveContext(const Circuit& nominal, const SolveOptions& options);
-
-  [[nodiscard]] bool usable() const noexcept { return usable_; }
-
-  /// True when `fault` on the nominal circuit preserves the MNA structure
-  /// and is expressible as a low-rank (or RHS-only) delta.
-  [[nodiscard]] bool eligible(const Fault& fault) const noexcept;
-
-  /// Attempts the batched solve of `faulted` (the result of inject_fault for
-  /// `fault` on the nominal circuit). Returns the operating point when the
-  /// low-rank solve converged and passed the residual and knife-edge gates;
-  /// std::nullopt otherwise, with `outcome` naming the fallback reason.
-  /// `diagnostics` is filled like try_dc_operating_point's on success.
-  [[nodiscard]] std::optional<OperatingPoint> try_solve(const Circuit& faulted,
-                                                        const Fault& fault, Workspace& ws,
-                                                        SolveDiagnostics& diagnostics,
-                                                        BatchOutcome& outcome) const;
-
-  /// The nominal operating point (valid when usable()).
-  [[nodiscard]] const OperatingPoint& nominal_point() const noexcept { return nominal_point_; }
-
-  ~CampaignSolveContext();
-  CampaignSolveContext(CampaignSolveContext&&) noexcept;
-  CampaignSolveContext& operator=(CampaignSolveContext&&) noexcept;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-  OperatingPoint nominal_point_;
-  bool usable_ = false;
+/// What an element stamps into the DC MNA matrix. Elements of one class
+/// record the same coordinate stream between the same terminals, whatever
+/// their value — so a fault that keeps an element's terminals and class
+/// keeps the circuit's stamp stream.
+enum class StampClass {
+  Conductance,  ///< Resistor, Mcu, Switch, Diode: a node-pair conductance
+  Branch,       ///< VSource, CurrentSensor, Inductor (a DC short): a branch unknown
+  None,         ///< Capacitor (open at DC), ISource (RHS only), VoltageSensor
 };
 
-/// Sparse middle tier of the campaign solve ladder (batch Woodbury first,
-/// then this, then the naive dense path). One symbolic analysis of the
-/// nominal stamp pattern is shared read-only across workers; every fault
-/// preserving that structure is a pure numeric refactorisation, and a
-/// structural Open/Short that deletes a branch unknown reuses the untouched
-/// symbolic prefix via partial refactorisation. Results are accepted only
-/// behind the same gate ladder as the batched path (clean rung-0
-/// convergence with iteration headroom, a full-system residual check
-/// against the exact faulted matrix, and the MCU knife-edge guard) — any
-/// doubt re-runs the fault on the naive dense path, so campaign output is
-/// byte-identical with the tier on or off.
+[[nodiscard]] StampClass dc_stamp_class(ElementKind kind) noexcept;
+
+/// A circuit's frozen DC stamp plan: the CSC pattern of its matrix stamps,
+/// the CSC slot of every recorded stamp in stamp order, and the pattern
+/// fingerprint that keys the symbolic analysis.
+struct StampPlan {
+  sparse::Pattern pattern;
+  std::vector<std::int32_t> slots;
+  std::uint64_t fingerprint = 0;
+
+  bool operator==(const StampPlan&) const = default;
+};
+
+/// Derives `circuit`'s DC stamp plan from scratch: one recording stamp pass,
+/// then sort, deduplicate and hash. This is the per-fault work the campaign
+/// context skips for faults that keep the nominal stamp stream.
+[[nodiscard]] StampPlan build_stamp_plan(const Circuit& circuit, const SolveOptions& options);
+
+/// The campaign's shared solve state: the nominal operating point (the warm
+/// start of every fault), the nominal stamp plan and its symbolic analysis.
 class CampaignSparseContext {
  public:
-  /// Per-worker scratch: the faulted circuit's assembly plan, the sparse
-  /// factorisation, and the residual/RHS buffers. Opaque — everything in it
-  /// is an implementation detail of the sim library.
+  /// Per-worker scratch: a stream-changing fault's own plan, the numeric
+  /// values, the sparse factorisation, and the residual/RHS buffers. Opaque
+  /// — everything in it is an implementation detail of the sim library.
   class Workspace {
    public:
     Workspace();
@@ -130,20 +101,34 @@ class CampaignSparseContext {
   };
 
   /// Solves the nominal circuit (plain Newton on the sparse kernel) and
-  /// freezes its symbolic analysis. Unusable when sparse is disabled, the
-  /// system is below the sparse dimension threshold, or the nominal solve
+  /// freezes its stamp plan and symbolic analysis. The analysis is paid
+  /// once per campaign, so the context runs at every system dimension —
+  /// `SolveOptions::sparse_min_dim` gates one-shot solves only. Unusable
+  /// when sparse is disabled, the system is empty, or the nominal solve
   /// needed anything beyond a clean sparse Newton run.
   CampaignSparseContext(const Circuit& nominal, const SolveOptions& options);
 
   [[nodiscard]] bool usable() const noexcept { return usable_; }
 
-  /// Attempts the sparse solve of `faulted`. Returns the operating point
-  /// when the solve converged and passed every gate; std::nullopt otherwise,
-  /// with `outcome` naming the fallback reason (BatchOutcome vocabulary).
+  /// True when `faulted` (inject_fault of `fault` on the nominal circuit)
+  /// keeps the nominal stamp stream: the same nodes and elements, so the
+  /// same system dimension, and the faulted element keeps its terminals and
+  /// its StampClass. Such a fault solves on nominal_plan() as it is.
+  [[nodiscard]] bool keeps_stamp_stream(const Circuit& faulted, const Fault& fault) const;
+
+  /// The nominal stamp plan shared by every fault that keeps the stream
+  /// (empty when not usable()).
+  [[nodiscard]] StampPlan nominal_plan() const;
+
+  /// Attempts the fast solve of `faulted` (the result of inject_fault for
+  /// `fault` on the nominal circuit). Returns the operating point when the
+  /// solve converged and passed every gate; std::nullopt otherwise, with
+  /// `outcome` naming the fallback reason. `diagnostics` is filled like
+  /// try_dc_operating_point's on success.
   [[nodiscard]] std::optional<OperatingPoint> try_solve(const Circuit& faulted,
                                                         const Fault& fault, Workspace& ws,
                                                         SolveDiagnostics& diagnostics,
-                                                        BatchOutcome& outcome) const;
+                                                        FastPathOutcome& outcome) const;
 
   /// The nominal operating point (valid when usable()).
   [[nodiscard]] const OperatingPoint& nominal_point() const noexcept { return nominal_point_; }

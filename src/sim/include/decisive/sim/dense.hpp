@@ -5,8 +5,7 @@
 // to carry (real Newton path and complex AC path). The factorisation keeps
 // its storage across calls, so a Newton loop / frequency sweep / fault
 // campaign re-factors without reallocating, and a factored system can be
-// re-solved against many right-hand sides (the batched campaign path solves
-// the nominal factorisation against every fault's RHS).
+// re-solved against many right-hand sides.
 //
 // Numerical contract: the blocked elimination performs bit-identical
 // arithmetic to the classic unblocked row-by-row elimination. The panel

@@ -15,8 +15,8 @@
 // Numerical honesty: a sparse factorisation pivots differently from the
 // dense kernel, so its solutions agree with dense only to rounding — never
 // bit-for-bit. Callers that promise byte-identical artefacts (the FMEDA
-// campaign) therefore accept sparse results only behind the PR-7 gate ladder
-// and re-run anything suspicious on the dense oracle; this header only
+// campaign) therefore accept sparse results only behind a gate ladder and
+// re-run anything suspicious on the dense oracle; this header only
 // promises a *correct* factorisation or a clean `false`.
 //
 // Thread model: `Symbolic` is immutable after construction and shared
@@ -180,7 +180,7 @@ class SparseLu {
                        std::string* error);
   bool replay_prefix(const Symbolic& sym, const Pattern& pattern, const T* values,
                      std::size_t end_pos, double floor, std::string* error);
-  void finish(const Pattern& pattern);
+  void finish(const Pattern& pattern, bool new_structure);
 
   std::shared_ptr<const Symbolic> sym_;
   std::vector<T> l_val_;
@@ -204,8 +204,9 @@ extern template class SparseLu<double>;
 extern template class SparseLu<std::complex<double>>;
 
 /// Registry handles cached once per process, same idiom as
-/// mna::SolverMetrics: kernel-level sparse counters plus the last-write
-/// structure gauges the perf sentinel's ratio checks key on.
+/// mna::SolverMetrics: kernel-level sparse counters plus the structure
+/// gauges of the last symbolic analysis (factor / partial_factor), which the
+/// perf sentinel's ratio checks key on.
 struct SparseMetrics {
   obs::Counter& factors;            ///< full symbolic+numeric factorisations
   obs::Counter& refactors;          ///< numeric-only replays over a frozen pattern
@@ -213,6 +214,7 @@ struct SparseMetrics {
   obs::Counter& partial_refactors;  ///< structural edits absorbed by partial_factor
   obs::Counter& partial_reused_columns;  ///< symbolic prefix columns reused across those
   obs::Counter& symbolic_reuse;     ///< factorisations that adopted a cached Symbolic
+  obs::Counter& plan_builds;        ///< stamp patterns derived from scratch (SparsePlan::build)
   obs::Counter& fallback_small_dim;      ///< dense because dim < sparse_min_dim
   obs::Counter& fallback_fill;           ///< dense because fill ratio exceeded the gate
   obs::Counter& fallback_singular;       ///< dense because the sparse factor hit the floor
@@ -231,6 +233,7 @@ struct SparseMetrics {
         registry.counter("decisive_sparse_partial_refactors_total"),
         registry.counter("decisive_sparse_partial_reused_columns_total"),
         registry.counter("decisive_sparse_symbolic_reuse_total"),
+        registry.counter("decisive_sparse_plan_builds_total"),
         registry.counter("decisive_sparse_fallback_small_dim_total"),
         registry.counter("decisive_sparse_fallback_fill_total"),
         registry.counter("decisive_sparse_fallback_singular_total"),

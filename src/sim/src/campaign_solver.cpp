@@ -3,69 +3,21 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
-#include "decisive/base/error.hpp"
-#include "decisive/obs/registry.hpp"
 #include "mna.hpp"
 
 namespace decisive::sim {
 
 namespace {
 
-/// Batched-path instrumentation, cached once per process.
-struct BatchMetrics {
-  obs::Counter& contexts;
-  obs::Counter& contexts_unusable;
-  obs::Counter& factor_reuses;
-  obs::Counter& lowrank_solves;
-  obs::Counter& rhs_only_solves;
-  obs::Counter& fallback_structural;
-  obs::Counter& fallback_conditioning;
-  obs::Counter& fallback_not_converged;
-  obs::Counter& fallback_near_threshold;
-  obs::Histogram& active_terms;
-
-  static BatchMetrics& get() {
-    auto& registry = obs::Registry::global();
-    static BatchMetrics metrics{
-        registry.counter("decisive_batch_contexts_total"),
-        registry.counter("decisive_batch_contexts_unusable_total"),
-        registry.counter("decisive_batch_factor_reuses_total"),
-        registry.counter("decisive_batch_lowrank_solves_total"),
-        registry.counter("decisive_batch_rhs_only_solves_total"),
-        registry.counter("decisive_batch_fallback_structural_total"),
-        registry.counter("decisive_batch_fallback_conditioning_total"),
-        registry.counter("decisive_batch_fallback_not_converged_total"),
-        registry.counter("decisive_batch_fallback_near_threshold_total"),
-        registry.histogram("decisive_batch_active_terms",
-                           {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0})};
-    return metrics;
-  }
-};
-
-/// Junction-voltage movement (vs the nominal operating point) below which a
-/// non-faulted diode is *pinned to its nominal linearisation point*: no
-/// low-rank matrix term, and its RHS companion stamp uses the nominal
-/// junction voltage too, so matrix and RHS stay consistent. Warm-started
-/// solves keep unaffected diodes at (numerically) their nominal junction
-/// voltage, but not exactly — each factored solve injects ~1e-9 V of
-/// conditioning-amplified round-off, accumulating to ~1e-7 V over a
-/// step-limited Newton run (measured bimodal on a 192-stage rail: noise
-/// <= 8e-8 V, genuine moves >= 2.6e-2 V). The threshold must sit above the
-/// noise floor — else every diode in the circuit registers as "moved" on
-/// any resistor fault and the dense-update guard rejects the whole batch.
-/// Pinning a diode that truly moved dv replaces its companion model with
-/// one linearised dv away, a *second-order* error (~geq*dv^2/vt, i.e.
-/// ~1.7e-8 A at the threshold), orders below the classification knife-edge
-/// guard; for noise-level wobble it is ~1e-12 A.
-constexpr double kDiodeSkipVolt = 1e-5;
-
-/// Residual acceptance for a low-rank solve, relative to max(1, ||rhs||inf).
+/// Residual acceptance for a fast-path solve, relative to max(1, ||rhs||inf).
 constexpr double kResidualRelative = 1e-8;
 
 /// Knife-edge guard on the MCU brown-out comparison (supply >= min_supply):
-/// the batched iterate differs from the naive one in the last ulps, so a
+/// the sparse iterate differs from the naive dense one in the last ulps, so a
 /// supply this close to the threshold must be decided by the naive path.
 constexpr double kMcuSupplyGuard = 1e-6;
 
@@ -77,438 +29,76 @@ constexpr double kMcuSupplyGuard = 1e-6;
   return iterations * 10 >= opt.max_newton_iterations * 9;
 }
 
-/// The linear conductance an element contributes between its terminals in a
-/// DC MNA matrix; 0 for elements with no (node-pair) conductance stamp.
-/// Diodes are handled separately (their stamp depends on the linearisation
-/// point).
-double linear_conductance(const Element& e, const SolveOptions& opt) {
-  switch (e.kind) {
-    case ElementKind::Resistor:
-    case ElementKind::Mcu:
-      return 1.0 / e.value;
-    case ElementKind::Switch:
-      return 1.0 / (e.closed ? opt.closed_resistance : opt.open_resistance);
-    default:
-      return 0.0;
-  }
+/// Fill gate of the campaign path, in L+U entries. One-shot solves compare
+/// against sparse_max_fill * dim^2, which every small MNA system exceeds
+/// (a handful of entries per column is already a quarter of a 12x12). Below
+/// the one-shot crossover a dense-ish factor is as cheap as the dense
+/// kernel's, so the campaign judges fill against a dense factor of at least
+/// sparse_min_dim unknowns. A zero budget still rejects every factorisation.
+[[nodiscard]] double fill_budget(std::size_t dim, const SolveOptions& opt) {
+  const double n = static_cast<double>(
+      std::max(dim, static_cast<std::size_t>(std::max(opt.sparse_min_dim, 1))));
+  return opt.sparse_max_fill * n * n;
+}
+
+[[nodiscard]] mna::Deadline deadline_after(std::chrono::steady_clock::time_point start,
+                                           const SolveOptions& opt) {
+  if (opt.max_wall_clock_seconds <= 0.0) return std::nullopt;
+  return start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                     std::chrono::duration<double>(opt.max_wall_clock_seconds));
 }
 
 }  // namespace
 
-std::string_view to_string(BatchOutcome outcome) noexcept {
+std::string_view to_string(FastPathOutcome outcome) noexcept {
   switch (outcome) {
-    case BatchOutcome::Solved: return "solved";
-    case BatchOutcome::Structural: return "structural";
-    case BatchOutcome::Conditioning: return "conditioning";
-    case BatchOutcome::NotConverged: return "not-converged";
-    case BatchOutcome::NearThreshold: return "near-threshold";
-    case BatchOutcome::Disabled: return "disabled";
+    case FastPathOutcome::Solved: return "solved";
+    case FastPathOutcome::Structural: return "structural";
+    case FastPathOutcome::Conditioning: return "conditioning";
+    case FastPathOutcome::NotConverged: return "not-converged";
+    case FastPathOutcome::NearThreshold: return "near-threshold";
+    case FastPathOutcome::Disabled: return "disabled";
   }
   return "disabled";
 }
 
-struct CampaignSolveContext::Impl {
-  Circuit nominal;
-  SolveOptions opt;
-  mna::Structure structure;
-  mna::CompanionState dc_state;  // DC: no companion sources
-
-  // Nominal converged state: the warm start for every fault variant.
-  mna::NewtonSeed seed;
-
-  // The nominal Jacobian assembled at the converged diode linearisation:
-  // factored (for solves) and unfactored (for the residual gate's matvec).
-  dense::LuFactorization<double> lu;
-  std::vector<double> a_nom;
-
-  // Per element index: conductance contribution inside a_nom, cached A^-1 u
-  // column id (-1 = none), and diode bookkeeping.
-  std::vector<double> cond_nom;
-  std::vector<double> geq_nom;
-  std::vector<int> col_of;
-  std::vector<std::size_t> diode_indices;
-
-  // Cached Z = A_nom^-1 U columns, column-major (col * dim + row).
-  std::vector<double> z_cols;
-
-  [[nodiscard]] std::size_t dim() const noexcept { return structure.dim; }
-
-  /// u_i^T v for the element's reduced incidence vector e_a - e_b.
-  [[nodiscard]] double u_dot(const Element& e, const double* v) const {
-    double sum = 0.0;
-    if (e.a != 0) sum += v[e.a - 1];
-    if (e.b != 0) sum -= v[e.b - 1];
-    return sum;
+StampClass dc_stamp_class(ElementKind kind) noexcept {
+  switch (kind) {
+    case ElementKind::Resistor:
+    case ElementKind::Mcu:
+    case ElementKind::Switch:
+    case ElementKind::Diode:
+      return StampClass::Conductance;
+    case ElementKind::VSource:
+    case ElementKind::CurrentSensor:
+    case ElementKind::Inductor:
+      return StampClass::Branch;
+    case ElementKind::Capacitor:
+    case ElementKind::ISource:
+    case ElementKind::VoltageSensor:
+      return StampClass::None;
   }
-
-  /// v += s * u_i.
-  void u_axpy(const Element& e, double s, double* v) const {
-    if (e.a != 0) v[e.a - 1] += s;
-    if (e.b != 0) v[e.b - 1] -= s;
-  }
-};
-
-CampaignSolveContext::CampaignSolveContext(const Circuit& nominal, const SolveOptions& options)
-    : impl_(std::make_unique<Impl>()) {
-  BatchMetrics& metrics = BatchMetrics::get();
-  metrics.contexts.add();
-  Impl& im = *impl_;
-  im.nominal = nominal;
-  im.opt = options;
-  im.structure = mna::analyze_structure(im.nominal, false);
-  if (im.dim() == 0) {
-    metrics.contexts_unusable.add();
-    return;  // trivial system: the naive path is already free
-  }
-
-  // Nominal plain-Newton solve (no recovery ladder: a nominal system that
-  // needs the ladder is not a good shared linearisation point).
-  mna::Deadline deadline;
-  if (options.max_wall_clock_seconds > 0.0) {
-    deadline = std::chrono::steady_clock::now() +
-               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(options.max_wall_clock_seconds));
-  }
-  mna::Workspace ws;
-  mna::NewtonAttempt attempt = mna::attempt_solve_dense(im.nominal, im.opt, im.dc_state,
-                                                        im.structure, nullptr, deadline, ws);
-  if (!attempt.converged) {
-    metrics.contexts_unusable.add();
-    return;
-  }
-  nominal_point_ = mna::make_operating_point(im.nominal, attempt.result);
-  im.seed.x = std::move(attempt.x);
-  im.seed.diode_v = std::move(attempt.diode_v);
-
-  // Assemble the nominal Jacobian at the converged linearisation point, keep
-  // an unfactored copy for residual checks, and factor it once.
-  const std::size_t dim = im.dim();
-  std::vector<double>& flat = im.lu.reset(dim);
-  std::vector<double> rhs_scratch(dim, 0.0);
-  mna::assemble(im.nominal, im.opt, im.dc_state, im.structure, im.seed.diode_v, flat.data(),
-                rhs_scratch.data());
-  im.a_nom = flat;
-  try {
-    im.lu.factor("singular system (floating node or short loop?)");
-  } catch (const SimulationError&) {
-    metrics.contexts_unusable.add();
-    return;
-  }
-
-  // Per-element conductance contributions and cached A^-1 u columns for
-  // every element whose fault (or diode relinearisation) can appear as a
-  // node-pair conductance delta.
-  const auto& elements = im.nominal.elements();
-  im.cond_nom.assign(elements.size(), 0.0);
-  im.geq_nom.assign(elements.size(), 0.0);
-  im.col_of.assign(elements.size(), -1);
-  std::vector<double> u(dim, 0.0);
-  for (std::size_t i = 0; i < elements.size(); ++i) {
-    const Element& e = elements[i];
-    switch (e.kind) {
-      case ElementKind::Resistor:
-      case ElementKind::Mcu:
-      case ElementKind::Switch:
-        im.cond_nom[i] = linear_conductance(e, im.opt);
-        break;
-      case ElementKind::Diode:
-        im.geq_nom[i] = mna::linearise_diode(im.seed.diode_v[i], im.opt).geq;
-        im.cond_nom[i] = im.geq_nom[i];
-        im.diode_indices.push_back(i);
-        break;
-      default:
-        break;
-    }
-    const bool delta_capable =
-        e.kind == ElementKind::Resistor || e.kind == ElementKind::Mcu ||
-        e.kind == ElementKind::Switch || e.kind == ElementKind::Capacitor ||
-        e.kind == ElementKind::Diode || e.kind == ElementKind::ISource;
-    const bool u_nonzero = e.a != e.b && (e.a != 0 || e.b != 0);
-    if (!delta_capable || !u_nonzero) continue;
-    std::fill(u.begin(), u.end(), 0.0);
-    im.u_axpy(e, 1.0, u.data());
-    im.lu.solve_in_place(u.data());
-    im.col_of[i] = static_cast<int>(im.z_cols.size() / dim);
-    im.z_cols.insert(im.z_cols.end(), u.begin(), u.end());
-  }
-
-  usable_ = true;
+  return StampClass::None;
 }
 
-CampaignSolveContext::~CampaignSolveContext() = default;
-CampaignSolveContext::CampaignSolveContext(CampaignSolveContext&&) noexcept = default;
-CampaignSolveContext& CampaignSolveContext::operator=(CampaignSolveContext&&) noexcept = default;
-
-bool CampaignSolveContext::eligible(const Fault& fault) const noexcept {
-  if (!usable_) return false;
-  const Element* e = impl_->nominal.find(fault.element);
-  if (e == nullptr) return false;
-  switch (fault.kind) {
-    case FaultKind::Open:
-    case FaultKind::Short:
-      // These turn the element into a plain resistor: a pure conductance
-      // delta — unless the element carried a branch unknown (VSource,
-      // DC inductor), whose disappearance changes the system dimension.
-      return e->kind == ElementKind::Resistor || e->kind == ElementKind::Mcu ||
-             e->kind == ElementKind::Switch || e->kind == ElementKind::Capacitor ||
-             e->kind == ElementKind::Diode || e->kind == ElementKind::ISource;
-    case FaultKind::StuckOff:
-      // Source output collapses (RHS-only) or MCU RAM corrupts (reading-only).
-      return e->kind == ElementKind::VSource || e->kind == ElementKind::ISource ||
-             e->kind == ElementKind::Mcu;
-    case FaultKind::Drift:
-      // Value scaling: conductance delta (R/MCU), RHS-only (sources), or a
-      // DC no-op (capacitor open / inductor short at DC keep their stamps).
-      return e->kind == ElementKind::Resistor || e->kind == ElementKind::Mcu ||
-             e->kind == ElementKind::Capacitor || e->kind == ElementKind::Inductor ||
-             e->kind == ElementKind::VSource || e->kind == ElementKind::ISource;
-    case FaultKind::RamFailure:
-      return e->kind == ElementKind::Mcu;  // electrically silent
-  }
-  return false;
-}
-
-std::optional<OperatingPoint> CampaignSolveContext::try_solve(const Circuit& faulted,
-                                                              const Fault& fault, Workspace& ws,
-                                                              SolveDiagnostics& diagnostics,
-                                                              BatchOutcome& outcome) const {
-  BatchMetrics& metrics = BatchMetrics::get();
-  if (!usable_) {
-    outcome = BatchOutcome::Disabled;
-    return std::nullopt;
-  }
-  const Impl& im = *impl_;
-  if (!eligible(fault)) {
-    outcome = BatchOutcome::Structural;
-    metrics.fallback_structural.add();
-    return std::nullopt;
-  }
-  const std::size_t dim = im.dim();
-  const auto& elements = im.nominal.elements();
-  const Element* nominal_elem = im.nominal.find(fault.element);
-  const std::size_t fault_idx =
-      static_cast<std::size_t>(nominal_elem - im.nominal.elements().data());
-  const Element& faulted_elem = faulted.elements()[fault_idx];
-
-  // The fault's own conductance delta between the element's (unchanged)
-  // terminals. A nominal diode's contribution is its linearised geq, so e.g.
-  // "diode opens" is (1/R_open - geq_nom) on the same node pair.
-  const double delta_fault = linear_conductance(faulted_elem, im.opt) - im.cond_nom[fault_idx];
-  if (delta_fault != 0.0 && im.col_of[fault_idx] < 0) {
-    // A conductance delta with no cached column (element between identical
-    // or all-ground nodes is a no-op; anything else is unexpected): let the
-    // naive path decide.
-    if (nominal_elem->a != nominal_elem->b &&
-        (nominal_elem->a != 0 || nominal_elem->b != 0)) {
-      outcome = BatchOutcome::Structural;
-      metrics.fallback_structural.add();
-      return std::nullopt;
-    }
-  }
-
-  const auto start = std::chrono::steady_clock::now();
-  mna::Deadline deadline;
-  if (im.opt.max_wall_clock_seconds > 0.0) {
-    deadline = start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                           std::chrono::duration<double>(im.opt.max_wall_clock_seconds));
-  }
-
-  ws.rhs.resize(dim);
-  ws.zb.resize(dim);
-  ws.residual.resize(dim);
-  ws.step_outcome = BatchOutcome::NotConverged;
-  std::size_t max_active = 0;
-  metrics.factor_reuses.add();
-
-  auto solve_step = [&](const std::vector<double>& diode_v, std::vector<double>& x_out,
-                        SolveFailure& failure, std::string& message) {
-    // Active low-rank terms: the fault's conductance delta plus any diode
-    // whose junction voltage genuinely moved off its nominal point. Diodes
-    // within the skip band are pinned to their nominal linearisation point
-    // for this step — no matrix term, and the RHS stamp below uses their
-    // *nominal* junction voltage so companion matrix and RHS stay
-    // consistent (an inconsistent pair would leak a first-order error into
-    // the solution; a consistently stale linearisation point is only a
-    // second-order one).
-    ws.term_col.clear();
-    ws.term_elem.clear();
-    ws.term_g.clear();
-    ws.eff_diode_v.assign(diode_v.begin(), diode_v.end());
-    if (delta_fault != 0.0 && im.col_of[fault_idx] >= 0) {
-      ws.term_col.push_back(im.col_of[fault_idx]);
-      ws.term_elem.push_back(fault_idx);
-      ws.term_g.push_back(delta_fault);
-    }
-    for (const std::size_t d : im.diode_indices) {
-      if (d == fault_idx) continue;  // the faulted element is no longer a diode
-      if (std::abs(diode_v[d] - im.seed.diode_v[d]) <= kDiodeSkipVolt) {
-        ws.eff_diode_v[d] = im.seed.diode_v[d];
-        continue;
-      }
-      const double delta = mna::linearise_diode(diode_v[d], im.opt).geq - im.geq_nom[d];
-      if (delta == 0.0) continue;
-      if (im.col_of[d] < 0) continue;  // degenerate node pair: stamp is a no-op
-      ws.term_col.push_back(im.col_of[d]);
-      ws.term_elem.push_back(d);
-      ws.term_g.push_back(delta);
-    }
-    // Faulted RHS at the (pinned) linearisation points — matrix deltas are
-    // applied via the Woodbury identity, so only the RHS is re-stamped.
-    std::fill(ws.rhs.begin(), ws.rhs.end(), 0.0);
-    mna::assemble(faulted, im.opt, im.dc_state, im.structure, ws.eff_diode_v, nullptr,
-                  ws.rhs.data());
-    const std::size_t k = ws.term_col.size();
-    max_active = std::max(max_active, k);
-    if (k > dim / 2) {
-      // The update is no longer "low-rank": a fresh factorisation is cheaper
-      // and better conditioned.
-      ws.step_outcome = BatchOutcome::Conditioning;
-      failure = SolveFailure::Singular;
-      message = "low-rank update too dense";
-      return false;
-    }
-
-    // Base solve against the shared nominal factorisation.
-    std::copy(ws.rhs.begin(), ws.rhs.end(), ws.zb.begin());
-    im.lu.solve_in_place(ws.zb.data());
-
-    if (k == 0) {
-      x_out.assign(ws.zb.begin(), ws.zb.end());
-    } else {
-      // Woodbury: x = z - Z_active (G^-1 + U^T Z_active)^-1 U^T z, with
-      // Z_active the cached A_nom^-1 u columns and G = diag(term_g). U^T
-      // entries are O(1) lookups via the active elements' node pairs.
-      std::vector<double>& s = ws.small_lu.reset(k);
-      ws.small_rhs.resize(k);
-      for (std::size_t i = 0; i < k; ++i) {
-        const Element& e_i = elements[ws.term_elem[i]];
-        s[i * k + i] = 1.0 / ws.term_g[i];
-        for (std::size_t j = 0; j < k; ++j) {
-          const double* zj = im.z_cols.data() + static_cast<std::size_t>(ws.term_col[j]) * dim;
-          s[i * k + j] += im.u_dot(e_i, zj);
-        }
-        ws.small_rhs[i] = im.u_dot(e_i, ws.zb.data());
-      }
-      try {
-        ws.small_lu.factor("singular low-rank update");
-      } catch (const SimulationError&) {
-        ws.step_outcome = BatchOutcome::Conditioning;
-        failure = SolveFailure::Singular;
-        message = "low-rank update system is singular";
-        return false;
-      }
-      ws.small_lu.solve_in_place(ws.small_rhs.data());
-      x_out.assign(ws.zb.begin(), ws.zb.end());
-      for (std::size_t j = 0; j < k; ++j) {
-        const double w = ws.small_rhs[j];
-        if (w == 0.0) continue;
-        const double* zj = im.z_cols.data() + static_cast<std::size_t>(ws.term_col[j]) * dim;
-        for (std::size_t r = 0; r < dim; ++r) x_out[r] -= w * zj[r];
-      }
-    }
-
-    return true;
-  };
-
-  // Residual gate, applied once to the converged iterate (the naive path
-  // never checks a residual at all, so gating the accepted solution is
-  // strictly stronger): r = rhs - (A_nom + sum g_i u_i u_i^T) x must vanish
-  // to solver precision, or the update was too ill-conditioned to trust.
-  // ws.rhs and the active terms are still those of the final linearisation
-  // when this runs.
-  auto passes_residual_gate = [&](const std::vector<double>& x) {
-    double rhs_norm = 0.0;
-    for (std::size_t r = 0; r < dim; ++r) rhs_norm = std::max(rhs_norm, std::abs(ws.rhs[r]));
-    std::copy(ws.rhs.begin(), ws.rhs.end(), ws.residual.begin());
-    const double* a = im.a_nom.data();
-    for (std::size_t r = 0; r < dim; ++r) {
-      double dot = 0.0;
-      const double* row = a + r * dim;
-      for (std::size_t c = 0; c < dim; ++c) dot += row[c] * x[c];
-      ws.residual[r] -= dot;
-    }
-    for (std::size_t j = 0; j < ws.term_col.size(); ++j) {
-      const Element& e_j = elements[ws.term_elem[j]];
-      const double flow = ws.term_g[j] * im.u_dot(e_j, x.data());
-      im.u_axpy(e_j, -flow, ws.residual.data());
-    }
-    double res_norm = 0.0;
-    for (std::size_t r = 0; r < dim; ++r) {
-      res_norm = std::max(res_norm, std::abs(ws.residual[r]));
-    }
-    return std::isfinite(res_norm) && res_norm <= kResidualRelative * std::max(1.0, rhs_norm);
-  };
-
-  mna::NewtonAttempt attempt =
-      mna::newton_attempt(faulted, im.opt, im.structure, &im.seed, deadline, solve_step);
-  metrics.active_terms.observe(static_cast<double>(max_active));
-  if (!attempt.converged) {
-    if (attempt.failure == SolveFailure::IterationBudget ||
-        attempt.failure == SolveFailure::WallClockBudget ||
-        attempt.failure == SolveFailure::NonFinite) {
-      outcome = BatchOutcome::NotConverged;
-      metrics.fallback_not_converged.add();
-    } else {
-      outcome = ws.step_outcome;
-      metrics.fallback_conditioning.add();
-    }
-    return std::nullopt;
-  }
-  if (near_iteration_budget(attempt.iterations, im.opt)) {
-    // A warm start that barely fits the budget might converge where the
-    // cold-started naive path would not; the naive path must decide.
-    outcome = BatchOutcome::NotConverged;
-    metrics.fallback_not_converged.add();
-    return std::nullopt;
-  }
-  if (!passes_residual_gate(attempt.x)) {
-    outcome = BatchOutcome::Conditioning;
-    metrics.fallback_conditioning.add();
-    return std::nullopt;
-  }
-
-  // Knife-edge gate: MCU brown-out readings are a discrete function of the
-  // solved supply voltage; ulp-level differences from the naive path must
-  // not flip them.
-  for (std::size_t i = 0; i < faulted.elements().size(); ++i) {
-    const Element& e = faulted.elements()[i];
-    if (e.kind != ElementKind::Mcu) continue;
-    const double supply =
-        attempt.result.node_voltage[static_cast<std::size_t>(e.a)] -
-        attempt.result.node_voltage[static_cast<std::size_t>(e.b)];
-    if (std::abs(supply - e.min_supply) < kMcuSupplyGuard) {
-      outcome = BatchOutcome::NearThreshold;
-      metrics.fallback_near_threshold.add();
-      return std::nullopt;
-    }
-  }
-
-  diagnostics = SolveDiagnostics{};
-  diagnostics.converged = true;
-  diagnostics.strategy = SolveStrategy::Newton;
-  diagnostics.ladder_rung = 0;
-  diagnostics.iterations = attempt.iterations;
-  diagnostics.residual = attempt.residual;
-  diagnostics.failure = SolveFailure::None;
-  diagnostics.elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  outcome = BatchOutcome::Solved;
-  if (max_active == 0) {
-    metrics.rhs_only_solves.add();
-  } else {
-    metrics.lowrank_solves.add();
-  }
-  return mna::make_operating_point(faulted, attempt.result);
+StampPlan build_stamp_plan(const Circuit& circuit, const SolveOptions& options) {
+  mna::SparsePlan plan;
+  plan.build(circuit, options, mna::CompanionState{}, mna::analyze_structure(circuit, false));
+  return StampPlan{std::move(plan.pattern), std::move(plan.slots), plan.fingerprint};
 }
 
 // ---------------------------------------------------------------------------
 // CampaignSparseContext
 
 struct CampaignSparseContext::Workspace::Impl {
-  mna::SparsePlan plan;             ///< the faulted circuit's pattern + slot replay
+  mna::SparsePlan own_plan;   ///< a stream-changing fault's own plan
+  mna::Structure own_structure;
+  std::vector<double> fixed_values;  ///< the fault's diode-free stamps (CSC)
+  std::vector<double> fixed_rhs;
+  std::vector<std::size_t> diodes;   ///< the faulted circuit's diodes
+  std::vector<double> values;  ///< CSC numeric array of the current iteration
   sparse::SparseLu<double> slu;
-  std::vector<double> rhs;          ///< final-iteration RHS (kept for the residual gate)
-  std::vector<double> solution;     ///< solve buffer, so `rhs` survives the solve
+  std::vector<double> rhs;     ///< final-iteration RHS (kept for the residual gate)
   std::vector<double> residual;
 };
 
@@ -524,8 +114,11 @@ struct CampaignSparseContext::Impl {
   mna::Structure structure;
   mna::CompanionState dc_state;  // DC: no companion sources
   mna::NewtonSeed seed;          // nominal converged state: warm start for faults
-  mna::SparsePlan plan;          // nominal pattern, the partial_factor base
+  mna::SparsePlan plan;          // nominal stamp plan, shared by same-stream faults
   std::shared_ptr<const sparse::Symbolic> symbolic;  // nominal symbolic analysis
+  // Element index by name (views into `nominal`): one hash per fault
+  // instead of a name scan over the netlist.
+  std::unordered_map<std::string_view, std::size_t> index_of;
 };
 
 CampaignSparseContext::CampaignSparseContext(const Circuit& nominal,
@@ -535,22 +128,21 @@ CampaignSparseContext::CampaignSparseContext(const Circuit& nominal,
   im.nominal = nominal;
   im.opt = options;
   im.structure = mna::analyze_structure(im.nominal, false);
-  if (!options.sparse ||
-      im.structure.dim < static_cast<std::size_t>(std::max(options.sparse_min_dim, 1))) {
-    return;  // below the sparse threshold: the naive/batch tiers already cover it
-  }
+  if (!options.sparse) return;
 
-  // Nominal plain-Newton solve on the sparse kernel; its workspace hands us
-  // the frozen assembly plan and symbolic analysis to share across workers.
-  mna::Deadline deadline;
-  if (options.max_wall_clock_seconds > 0.0) {
-    deadline = std::chrono::steady_clock::now() +
-               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(options.max_wall_clock_seconds));
+  // Nominal plain-Newton solve on the sparse kernel at any dimension, under
+  // the campaign's fill gate; its workspace hands over the frozen stamp plan
+  // and symbolic analysis.
+  SolveOptions nominal_opt = options;
+  nominal_opt.sparse_min_dim = 1;
+  if (im.structure.dim > 0) {
+    const double dim = static_cast<double>(im.structure.dim);
+    nominal_opt.sparse_max_fill = fill_budget(im.structure.dim, options) / (dim * dim);
   }
   mna::Workspace ws;
-  mna::NewtonAttempt attempt = mna::attempt_solve_auto(im.nominal, im.opt, im.dc_state,
-                                                       im.structure, nullptr, deadline, ws);
+  mna::NewtonAttempt attempt =
+      mna::attempt_solve_auto(im.nominal, nominal_opt, im.dc_state, im.structure, nullptr,
+                              deadline_after(std::chrono::steady_clock::now(), options), ws);
   if (!attempt.converged || ws.sparse_disabled || ws.slu.symbolic() == nullptr) {
     return;  // a nominal circuit the sparse kernel distrusts stays naive
   }
@@ -559,6 +151,9 @@ CampaignSparseContext::CampaignSparseContext(const Circuit& nominal,
   im.seed.diode_v = std::move(attempt.diode_v);
   im.plan = std::move(ws.plan);
   im.symbolic = ws.slu.symbolic();
+  const auto& elements = im.nominal.elements();
+  im.index_of.reserve(elements.size());
+  for (std::size_t i = 0; i < elements.size(); ++i) im.index_of.emplace(elements[i].name, i);
   usable_ = true;
 }
 
@@ -567,181 +162,193 @@ CampaignSparseContext::CampaignSparseContext(CampaignSparseContext&&) noexcept =
 CampaignSparseContext& CampaignSparseContext::operator=(CampaignSparseContext&&) noexcept =
     default;
 
+bool CampaignSparseContext::keeps_stamp_stream(const Circuit& faulted,
+                                               const Fault& fault) const {
+  if (!usable_) return false;
+  const Circuit& nominal = impl_->nominal;
+  const auto it = impl_->index_of.find(fault.element);
+  if (it == impl_->index_of.end() || faulted.node_count() != nominal.node_count() ||
+      faulted.elements().size() != nominal.elements().size()) {
+    return false;
+  }
+  // inject_fault edits this one element in place, so every other element
+  // stamps exactly as in the nominal circuit; an unchanged class keeps the
+  // branch-unknown set, hence the dimension and the branch numbering.
+  const Element& before = nominal.elements()[it->second];
+  const Element& after = faulted.elements()[it->second];
+  return after.a == before.a && after.b == before.b &&
+         dc_stamp_class(after.kind) == dc_stamp_class(before.kind);
+}
+
+StampPlan CampaignSparseContext::nominal_plan() const {
+  const mna::SparsePlan& plan = impl_->plan;
+  return StampPlan{plan.pattern, plan.slots, plan.fingerprint};
+}
+
 std::optional<OperatingPoint> CampaignSparseContext::try_solve(
     const Circuit& faulted, const Fault& fault, Workspace& ws, SolveDiagnostics& diagnostics,
-    BatchOutcome& outcome) const {
-  (void)fault;  // every fault kind routes through the same structure analysis
+    FastPathOutcome& outcome) const {
   if (!usable_) {
-    outcome = BatchOutcome::Disabled;
+    outcome = FastPathOutcome::Disabled;
     return std::nullopt;
   }
   const Impl& im = *impl_;
   sparse::SparseMetrics& smetrics = sparse::SparseMetrics::get();
   Workspace::Impl& w = *ws.impl_;
 
-  const mna::Structure st = mna::analyze_structure(faulted, false);
-  if (st.dim == 0 || st.dim > im.structure.dim ||
-      st.n_nodes != im.structure.n_nodes) {
-    // Faults only ever *remove* branch unknowns (Open/Short turn a source or
-    // DC inductor into a resistor); anything else is out of contract.
-    outcome = BatchOutcome::Structural;
-    return std::nullopt;
-  }
-  const auto start = std::chrono::steady_clock::now();
-  mna::Deadline deadline;
-  if (im.opt.max_wall_clock_seconds > 0.0) {
-    deadline = start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                           std::chrono::duration<double>(im.opt.max_wall_clock_seconds));
-  }
-
-  // The faulted circuit's own assembly plan (pattern + slot replay), derived
-  // once per fault; the per-iteration cost is then pure numeric refill.
-  w.plan.build(faulted, im.opt, im.dc_state, st);
-
   // First-factorisation mode: an unchanged pattern adopts the shared nominal
   // symbolic (numeric replay only); a deleted branch unknown reuses the
   // untouched symbolic prefix via partial_factor; anything else pays a full
   // factorisation (still one-off — later iterations refactor).
   enum class First { Refactor, Partial, Full };
-  First first = First::Full;
+  First first = First::Refactor;
   std::vector<std::int32_t> new_of_old;
-  if (st.dim == im.structure.dim && w.plan.fingerprint == im.plan.fingerprint) {
-    w.slu.adopt(im.symbolic);
-    smetrics.symbolic_reuse.add();
-    first = First::Refactor;
-  } else if (st.dim < im.structure.dim) {
-    // Node rows are untouched and surviving branch rows keep their element
-    // order, so the old-to-new unknown map is strictly increasing over
-    // survivors — exactly partial_factor's contract.
-    const int keep_nodes = im.structure.n_nodes - 1;
-    new_of_old.assign(im.structure.dim, -1);
-    for (int r = 0; r < keep_nodes; ++r) new_of_old[static_cast<std::size_t>(r)] = r;
-    for (std::size_t i = 0; i < im.nominal.elements().size(); ++i) {
-      const int old_b = im.structure.branch_index[i];
-      if (old_b < 0) continue;
-      const int new_b = st.branch_index[i];
-      new_of_old[static_cast<std::size_t>(keep_nodes + old_b)] =
-          new_b < 0 ? -1 : keep_nodes + new_b;
+  const mna::SparsePlan* plan = &im.plan;
+  const mna::Structure* st = &im.structure;
+  if (!keeps_stamp_stream(faulted, fault)) {
+    w.own_structure = mna::analyze_structure(faulted, false);
+    st = &w.own_structure;
+    if (st->dim == 0 || st->dim > im.structure.dim ||
+        st->n_nodes != im.structure.n_nodes) {
+      // Faults only ever *remove* branch unknowns (Open/Short turn a source
+      // or DC inductor into a resistor); anything else is out of contract.
+      outcome = FastPathOutcome::Structural;
+      return std::nullopt;
     }
-    first = First::Partial;
+    w.own_plan.build(faulted, im.opt, im.dc_state, *st);
+    plan = &w.own_plan;
+    if (st->dim < im.structure.dim) {
+      // Node rows are untouched and surviving branch rows keep their element
+      // order, so the old-to-new unknown map is strictly increasing over
+      // survivors — exactly partial_factor's contract.
+      const int keep_nodes = im.structure.n_nodes - 1;
+      new_of_old.assign(im.structure.dim, -1);
+      for (int r = 0; r < keep_nodes; ++r) new_of_old[static_cast<std::size_t>(r)] = r;
+      for (std::size_t i = 0; i < im.nominal.elements().size(); ++i) {
+        const int old_b = im.structure.branch_index[i];
+        if (old_b < 0) continue;
+        const int new_b = st->branch_index[i];
+        new_of_old[static_cast<std::size_t>(keep_nodes + old_b)] =
+            new_b < 0 ? -1 : keep_nodes + new_b;
+      }
+      first = First::Partial;
+    } else if (plan->fingerprint != im.plan.fingerprint) {
+      first = First::Full;
+    }
+  }
+  if (first == First::Refactor) {
+    // The workspace usually still holds the shared symbolic from its last
+    // fault; only a repivot or a stream-changing fault replaced it.
+    if (w.slu.symbolic() != im.symbolic) w.slu.adopt(im.symbolic);
+    smetrics.symbolic_reuse.add();
   }
 
+  // Everything but the diode stamps is fixed for the whole solve: stamp it
+  // once per fault, then each Newton iteration copies it and adds the diodes.
+  if (!plan->refill_fixed(faulted, im.opt, im.dc_state, *st, w.fixed_values, w.fixed_rhs,
+                          w.diodes)) {
+    outcome = FastPathOutcome::Structural;  // the stamp stream does not match the plan
+    return std::nullopt;
+  }
+
+  const auto start = std::chrono::steady_clock::now();
+  const std::size_t dim = st->dim;
   bool factored = false;
   auto solve_step = [&](const std::vector<double>& diode_v, std::vector<double>& x_out,
                         SolveFailure& failure, std::string& message) {
-    w.rhs.assign(st.dim, 0.0);
-    if (!w.plan.refill(faulted, im.opt, im.dc_state, st, diode_v, w.rhs.data())) {
+    w.values = w.fixed_values;
+    w.rhs = w.fixed_rhs;
+    if (!plan->refill_diodes(faulted, im.opt, im.dc_state, *st, diode_v, w.diodes,
+                             w.values.data(), w.rhs.data())) {
       failure = SolveFailure::Singular;
       message = "sparse plan does not match the stamped circuit";
       return false;
     }
     std::string err;
     bool ok = false;
-    if (factored) {
-      ok = w.slu.refactor(w.plan.pattern, w.plan.values.data(), &err);
+    if (factored || first == First::Refactor) {
+      ok = w.slu.refactor(plan->pattern, w.values.data(), &err);
       if (!ok) {
-        ok = w.slu.factor(w.plan.pattern, w.plan.values.data(), &err);
+        ok = w.slu.factor(plan->pattern, w.values.data(), &err);
         if (ok) smetrics.repivots.add();
       }
+    } else if (first == First::Partial) {
+      ok = w.slu.partial_factor(*im.symbolic, im.plan.pattern, new_of_old, plan->pattern,
+                                w.values.data(), nullptr, &err);
+      if (!ok) ok = w.slu.factor(plan->pattern, w.values.data(), &err);
     } else {
-      switch (first) {
-        case First::Refactor:
-          ok = w.slu.refactor(w.plan.pattern, w.plan.values.data(), &err);
-          if (!ok) {
-            ok = w.slu.factor(w.plan.pattern, w.plan.values.data(), &err);
-            if (ok) smetrics.repivots.add();
-          }
-          break;
-        case First::Partial:
-          ok = w.slu.partial_factor(*im.symbolic, im.plan.pattern, new_of_old,
-                                    w.plan.pattern, w.plan.values.data(), nullptr, &err);
-          if (!ok) ok = w.slu.factor(w.plan.pattern, w.plan.values.data(), &err);
-          break;
-        case First::Full:
-          ok = w.slu.factor(w.plan.pattern, w.plan.values.data(), &err);
-          break;
-      }
-      if (ok) {
-        factored = true;
-        const double dim_sq =
-            static_cast<double>(st.dim) * static_cast<double>(st.dim);
-        if (static_cast<double>(w.slu.lu_nnz()) > im.opt.sparse_max_fill * dim_sq) {
-          smetrics.fallback_fill.add();
-          failure = SolveFailure::Singular;
-          message = "sparse factorisation fill exceeded the density gate";
-          return false;
-        }
-      }
+      ok = w.slu.factor(plan->pattern, w.values.data(), &err);
     }
     if (!ok) {
       failure = SolveFailure::Singular;
       message = std::move(err);
       return false;
     }
-    // Solve into a separate buffer so `w.rhs` still holds the final-iteration
+    if (!factored) {
+      factored = true;
+      if (static_cast<double>(w.slu.lu_nnz()) > fill_budget(dim, im.opt)) {
+        smetrics.fallback_fill.add();
+        failure = SolveFailure::Singular;
+        message = "sparse factorisation fill exceeded the density gate";
+        return false;
+      }
+    }
+    // Solve into the Newton buffer so `w.rhs` still holds the final-iteration
     // RHS for the residual gate below.
-    w.solution = w.rhs;
-    w.slu.solve_in_place(w.solution.data());
-    x_out = w.solution;
+    x_out = w.rhs;
+    w.slu.solve_in_place(x_out.data());
     return true;
   };
 
-  mna::NewtonAttempt attempt =
-      mna::newton_attempt(faulted, im.opt, st, &im.seed, deadline, solve_step);
+  mna::NewtonAttempt attempt = mna::newton_attempt(faulted, im.opt, *st, &im.seed,
+                                                   deadline_after(start, im.opt), solve_step);
   if (!attempt.converged) {
     outcome = (attempt.failure == SolveFailure::IterationBudget ||
                attempt.failure == SolveFailure::WallClockBudget ||
                attempt.failure == SolveFailure::NonFinite)
-                  ? BatchOutcome::NotConverged
-                  : BatchOutcome::Conditioning;
+                  ? FastPathOutcome::NotConverged
+                  : FastPathOutcome::Conditioning;
     return std::nullopt;
   }
   if (near_iteration_budget(attempt.iterations, im.opt)) {
-    // Same convergence-margin guard as the batched path: a warm start that
-    // barely fits the budget might converge where the cold naive path would
-    // not — the naive path must decide.
-    outcome = BatchOutcome::NotConverged;
+    outcome = FastPathOutcome::NotConverged;
     return std::nullopt;
   }
 
-  // Residual gate against the *exact* faulted matrix (w.plan.values and
-  // w.rhs are still those of the final linearisation): r = rhs - A x must
-  // vanish to solver precision. The naive path never checks a residual, so
-  // gating the accepted solution is strictly stronger.
+  // Residual gate against the *exact* faulted matrix (w.values and w.rhs are
+  // still those of the final linearisation): r = rhs - A x must vanish to
+  // solver precision. The naive path never checks a residual, so gating the
+  // accepted solution is strictly stronger.
   {
     const std::vector<double>& x = attempt.x;
     double rhs_norm = 0.0;
-    for (std::size_t r = 0; r < st.dim; ++r) rhs_norm = std::max(rhs_norm, std::abs(w.rhs[r]));
+    for (std::size_t r = 0; r < dim; ++r) rhs_norm = std::max(rhs_norm, std::abs(w.rhs[r]));
     w.residual.assign(w.rhs.begin(), w.rhs.end());
-    const sparse::Pattern& pattern = w.plan.pattern;
-    for (std::size_t c = 0; c < st.dim; ++c) {
+    const sparse::Pattern& pattern = plan->pattern;
+    for (std::size_t c = 0; c < dim; ++c) {
       const double xc = x[c];
       if (xc == 0.0) continue;
       for (std::int32_t p = pattern.col_ptr[c]; p < pattern.col_ptr[c + 1]; ++p) {
         w.residual[static_cast<std::size_t>(pattern.row_ind[static_cast<std::size_t>(p)])] -=
-            w.plan.values[static_cast<std::size_t>(p)] * xc;
+            w.values[static_cast<std::size_t>(p)] * xc;
       }
     }
     double res_norm = 0.0;
-    for (std::size_t r = 0; r < st.dim; ++r) {
-      res_norm = std::max(res_norm, std::abs(w.residual[r]));
-    }
-    if (!std::isfinite(res_norm) ||
-        res_norm > kResidualRelative * std::max(1.0, rhs_norm)) {
-      outcome = BatchOutcome::Conditioning;
+    for (std::size_t r = 0; r < dim; ++r) res_norm = std::max(res_norm, std::abs(w.residual[r]));
+    if (!std::isfinite(res_norm) || res_norm > kResidualRelative * std::max(1.0, rhs_norm)) {
+      outcome = FastPathOutcome::Conditioning;
       return std::nullopt;
     }
   }
 
   // Knife-edge gate: ulp-level differences from the naive dense path must
   // not flip a discrete MCU brown-out reading.
-  for (std::size_t i = 0; i < faulted.elements().size(); ++i) {
-    const Element& e = faulted.elements()[i];
+  for (const Element& e : faulted.elements()) {
     if (e.kind != ElementKind::Mcu) continue;
     const double supply = attempt.result.node_voltage[static_cast<std::size_t>(e.a)] -
                           attempt.result.node_voltage[static_cast<std::size_t>(e.b)];
     if (std::abs(supply - e.min_supply) < kMcuSupplyGuard) {
-      outcome = BatchOutcome::NearThreshold;
+      outcome = FastPathOutcome::NearThreshold;
       return std::nullopt;
     }
   }
@@ -755,7 +362,7 @@ std::optional<OperatingPoint> CampaignSparseContext::try_solve(
   diagnostics.failure = SolveFailure::None;
   diagnostics.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  outcome = BatchOutcome::Solved;
+  outcome = FastPathOutcome::Solved;
   return mna::make_operating_point(faulted, attempt.result);
 }
 

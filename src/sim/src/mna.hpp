@@ -1,5 +1,5 @@
 // Internal MNA machinery shared by the single-solve path (solver.cpp) and
-// the factor-once batched campaign path (campaign_solver.cpp): system
+// the factor-once campaign path (campaign_solver.cpp): system
 // structure analysis, stamp assembly, diode linearisation, and the bounded
 // Newton loop with a pluggable linear-solve step.
 //
@@ -76,7 +76,7 @@ struct SolveResult {
 };
 
 /// Warm-start state handed from one recovery-ladder attempt to the next (and
-/// from the nominal solve to every fault variant on the batched path).
+/// from the nominal solve to every fault variant on the campaign path).
 struct NewtonSeed {
   std::vector<double> x;        ///< previous raw solution vector
   std::vector<double> diode_v;  ///< previous diode junction estimates
@@ -140,20 +140,26 @@ inline DiodeLinearisation linearise_diode(double diode_v_estimate, const SolveOp
   return DiodeLinearisation{geq, id - geq * vd};
 }
 
-/// Stamps the MNA system for the given diode linearisation point into `rhs`
-/// (always) and an arbitrary matrix sink: `add(row, col, value)` is invoked
-/// for every matrix stamp in the exact order of the original solver. The
-/// dense path adds into flat row-major storage; the sparse path records
-/// coordinates (pattern build) or replays them through a frozen slot
-/// sequence (numeric refill) — one stamp pass, three consumers, and because
-/// the element loop is shared the add sequence is identical across them.
+/// gmin from every non-ground node keeps floating nodes solvable (the
+/// standard SPICE trick; an "open" fault would otherwise be singular). The
+/// first stamps of every assembly.
 template <typename AddFn>
-inline void assemble_with(const Circuit& circuit, const SolveOptions& opt,
+inline void stamp_gmin(const SolveOptions& opt, const Structure& st, AddFn&& add) {
+  for (int node = 1; node < st.n_nodes; ++node) {
+    const auto row = static_cast<std::size_t>(node - 1);
+    add(row, row, opt.gmin);
+  }
+}
+
+/// Stamps element `i` of `circuit` into `rhs` and the matrix sink `add`, in
+/// the exact order of the original solver. Only a diode's stamps depend on
+/// `diode_v`; every other element's depend on the circuit and `state` alone.
+template <typename AddFn>
+inline void stamp_element(const Circuit& circuit, std::size_t i, const SolveOptions& opt,
                           const CompanionState& state, const Structure& st,
                           const std::vector<double>& diode_v, AddFn&& add, double* rhs) {
-  const auto& elements = circuit.elements();
+  const Element& e = circuit.elements()[i];
   const std::size_t dim = st.dim;
-  const int n_nodes = st.n_nodes;
   const int n_branches = st.n_branches;
 
   auto vrow = [](int node) { return static_cast<std::size_t>(node - 1); };
@@ -186,80 +192,85 @@ inline void assemble_with(const Circuit& circuit, const SolveOptions& opt,
     return rhs[static_cast<std::size_t>(static_cast<int>(dim) - n_branches + branch)];
   };
 
-  // gmin from every non-ground node keeps floating nodes solvable (the
-  // standard SPICE trick; an "open" fault would otherwise be singular).
-  for (int node = 1; node < n_nodes; ++node) add(vrow(node), vrow(node), opt.gmin);
-
-  for (std::size_t i = 0; i < elements.size(); ++i) {
-    const Element& e = elements[i];
-    switch (e.kind) {
-      case ElementKind::Resistor:
-        stamp_conductance(e.a, e.b, 1.0 / e.value);
-        break;
-      case ElementKind::Mcu:
-        stamp_conductance(e.a, e.b, 1.0 / e.value);
-        break;
-      case ElementKind::Switch:
-        stamp_conductance(e.a, e.b,
-                          1.0 / (e.closed ? opt.closed_resistance : opt.open_resistance));
-        break;
-      case ElementKind::Capacitor:
-        if (state.transient) {
-          const double g = e.value / state.dt;
-          stamp_conductance(e.a, e.b, g);
-          // Norton companion: history current g * v_prev from b to a.
-          stamp_current(e.a, e.b, -g * state.cap_voltage[i]);
-        }
-        // DC: open circuit, no stamp.
-        break;
-      case ElementKind::Inductor:
-        if (state.transient) {
-          const double g = state.dt / e.value;
-          stamp_conductance(e.a, e.b, g);
-          stamp_current(e.a, e.b, state.inductor_current[i]);
-        } else {
-          // DC short: a 0 V source with a branch-current unknown.
-          stamp_branch(e.a, e.b, st.branch_index[i]);
-          branch_rhs(st.branch_index[i]) = 0.0;
-        }
-        break;
-      case ElementKind::Diode: {
-        // Linearise around the current junction-voltage estimate.
-        const DiodeLinearisation lin = linearise_diode(diode_v[i], opt);
-        stamp_conductance(e.a, e.b, lin.geq);
-        stamp_current(e.a, e.b, lin.ieq);
-        break;
+  switch (e.kind) {
+    case ElementKind::Resistor:
+      stamp_conductance(e.a, e.b, 1.0 / e.value);
+      break;
+    case ElementKind::Mcu:
+      stamp_conductance(e.a, e.b, 1.0 / e.value);
+      break;
+    case ElementKind::Switch:
+      stamp_conductance(e.a, e.b, 1.0 / (e.closed ? opt.closed_resistance : opt.open_resistance));
+      break;
+    case ElementKind::Capacitor:
+      if (state.transient) {
+        const double g = e.value / state.dt;
+        stamp_conductance(e.a, e.b, g);
+        // Norton companion: history current g * v_prev from b to a.
+        stamp_current(e.a, e.b, -g * state.cap_voltage[i]);
       }
-      case ElementKind::VSource:
-      case ElementKind::CurrentSensor:
+      // DC: open circuit, no stamp.
+      break;
+    case ElementKind::Inductor:
+      if (state.transient) {
+        const double g = state.dt / e.value;
+        stamp_conductance(e.a, e.b, g);
+        stamp_current(e.a, e.b, state.inductor_current[i]);
+      } else {
+        // DC short: a 0 V source with a branch-current unknown.
         stamp_branch(e.a, e.b, st.branch_index[i]);
-        branch_rhs(st.branch_index[i]) = e.kind == ElementKind::VSource ? e.value : 0.0;
-        break;
-      case ElementKind::ISource:
-        stamp_current(e.a, e.b, e.value);
-        break;
-      case ElementKind::VoltageSensor:
-        break;  // ideal voltmeter: no stamp
+        branch_rhs(st.branch_index[i]) = 0.0;
+      }
+      break;
+    case ElementKind::Diode: {
+      // Linearise around the current junction-voltage estimate.
+      const DiodeLinearisation lin = linearise_diode(diode_v[i], opt);
+      stamp_conductance(e.a, e.b, lin.geq);
+      stamp_current(e.a, e.b, lin.ieq);
+      break;
     }
+    case ElementKind::VSource:
+    case ElementKind::CurrentSensor:
+      stamp_branch(e.a, e.b, st.branch_index[i]);
+      branch_rhs(st.branch_index[i]) = e.kind == ElementKind::VSource ? e.value : 0.0;
+      break;
+    case ElementKind::ISource:
+      stamp_current(e.a, e.b, e.value);
+      break;
+    case ElementKind::VoltageSensor:
+      break;  // ideal voltmeter: no stamp
   }
 }
 
-/// The classic entry point over flat row-major `dim x dim` storage (`a` may
-/// be null — the batched path re-stamps only the RHS). Both buffers must be
-/// pre-zeroed. The dense add is `+=` of the signed stamp, which is the same
+/// Stamps the MNA system for the given diode linearisation point into `rhs`
+/// (always) and an arbitrary matrix sink: `add(row, col, value)` is invoked
+/// for every matrix stamp in the exact order of the original solver. The
+/// dense path adds into flat row-major storage; the sparse path records
+/// coordinates (pattern build) or replays them through a frozen slot
+/// sequence (numeric refill) — one stamp pass, three consumers, and because
+/// the element loop is shared the add sequence is identical across them.
+/// `flatten` (here and on the split refills) inlines the per-element stamp
+/// calls into the loop; left to itself the compiler keeps them out of line,
+/// a call per element on the hottest path of a campaign.
+template <typename AddFn>
+[[gnu::flatten]] inline void assemble_with(const Circuit& circuit, const SolveOptions& opt,
+                          const CompanionState& state, const Structure& st,
+                          const std::vector<double>& diode_v, AddFn&& add, double* rhs) {
+  stamp_gmin(opt, st, add);
+  for (std::size_t i = 0; i < circuit.elements().size(); ++i) {
+    stamp_element(circuit, i, opt, state, st, diode_v, add, rhs);
+  }
+}
+
+/// The classic entry point over flat row-major `dim x dim` storage. Both
+/// buffers must be pre-zeroed. The dense add is `+=` of the signed stamp, which is the same
 /// IEEE operation the old in-lambda `-=` performed, so no output byte moved.
 inline void assemble(const Circuit& circuit, const SolveOptions& opt,
                      const CompanionState& state, const Structure& st,
                      const std::vector<double>& diode_v, double* a, double* rhs) {
   const std::size_t dim = st.dim;
-  if (a == nullptr) {
-    assemble_with(circuit, opt, state, st, diode_v, [](std::size_t, std::size_t, double) {},
-                  rhs);
-  } else {
-    assemble_with(circuit, opt, state, st, diode_v,
-                  [a, dim](std::size_t r, std::size_t c, double v) { a[r * dim + c] += v; },
-                  rhs);
-  }
+  assemble_with(circuit, opt, state, st, diode_v,
+                [a, dim](std::size_t r, std::size_t c, double v) { a[r * dim + c] += v; }, rhs);
 }
 
 inline SolveResult extract_result(const Circuit& circuit, const Structure& st,
@@ -284,10 +295,10 @@ inline SolveResult extract_result(const Circuit& circuit, const Structure& st,
 ///
 /// `solve_step(diode_v, x_out, failure, message)` solves the MNA system
 /// linearised at `diode_v` into `x_out` (sized dim) and returns true, or
-/// returns false with `failure`/`message` set (singular system, low-rank
-/// update rejected, ...). Everything else — budgets, the non-finite guard,
-/// diode voltage limiting, and the convergence test — is shared verbatim
-/// between the naive and batched paths.
+/// returns false with `failure`/`message` set (singular system, fill gate
+/// tripped, ...). Everything else — budgets, the non-finite guard, diode
+/// voltage limiting, and the convergence test — is shared verbatim between
+/// the dense, sparse and campaign paths.
 template <typename SolveStep>
 NewtonAttempt newton_attempt(const Circuit& circuit, const SolveOptions& opt,
                              const Structure& st, const NewtonSeed* seed,
@@ -385,6 +396,26 @@ NewtonAttempt newton_attempt(const Circuit& circuit, const SolveOptions& opt,
   return attempt;
 }
 
+/// Matrix sink of a sparse refill: adds each stamp into its frozen CSC slot,
+/// walking the slot sequence from stream position `t`; `ok` drops when the
+/// stamps run past `end` (the circuit no longer matches the plan).
+struct SlotCursor {
+  const std::int32_t* slot;
+  double* value;
+  std::size_t t;
+  std::size_t end;
+  bool ok = true;
+
+  void operator()(std::size_t, std::size_t, double v) {
+    if (t < end) {
+      value[static_cast<std::size_t>(slot[t++])] += v;
+    } else {
+      ok = false;
+    }
+  }
+  [[nodiscard]] bool stopped_at(std::size_t position) const { return ok && t == position; }
+};
+
 /// One circuit structure's frozen sparse assembly plan: the CSC pattern of
 /// the stamp pass plus the slot sequence that replays every later assembly
 /// as straight indexed adds. Building it runs the stamp pass once with a
@@ -393,6 +424,8 @@ NewtonAttempt newton_attempt(const Circuit& circuit, const SolveOptions& opt,
 struct SparsePlan {
   sparse::Pattern pattern;
   std::vector<std::int32_t> slots;   ///< CSC slot of each recorded stamp, in order
+  std::vector<std::size_t> element_begin;  ///< stream position of each element's
+                                           ///< first stamp; back() = stream length
   std::vector<double> values;        ///< CSC numeric array, refilled per assembly
   std::uint64_t fingerprint = 0;     ///< pattern.fingerprint(), computed once
   std::size_t dim = 0;
@@ -401,13 +434,20 @@ struct SparsePlan {
 
   void build(const Circuit& circuit, const SolveOptions& opt, const CompanionState& state,
              const Structure& st) {
+    sparse::SparseMetrics::get().plan_builds.add();
     sparse::PatternBuilder builder;
     builder.begin(st.dim);
     std::vector<double> rhs_sink(st.dim, 0.0);
-    const std::vector<double> diode_guess(circuit.elements().size(), 0.6);
-    assemble_with(circuit, opt, state, st, diode_guess,
-                  [&](std::size_t r, std::size_t c, double) { builder.add(r, c); },
-                  rhs_sink.data());
+    const std::size_t count = circuit.elements().size();
+    const std::vector<double> diode_guess(count, 0.6);
+    auto record = [&](std::size_t r, std::size_t c, double) { builder.add(r, c); };
+    stamp_gmin(opt, st, record);
+    element_begin.resize(count + 1);
+    for (std::size_t i = 0; i < count; ++i) {
+      element_begin[i] = builder.recorded();
+      stamp_element(circuit, i, opt, state, st, diode_guess, record, rhs_sink.data());
+    }
+    element_begin[count] = builder.recorded();
     builder.freeze(pattern, slots);
     fingerprint = pattern.fingerprint();
     values.assign(pattern.nnz(), 0.0);
@@ -425,18 +465,60 @@ struct SparsePlan {
                             const CompanionState& state, const Structure& st,
                             const std::vector<double>& diode_v, double* rhs) {
     std::fill(values.begin(), values.end(), 0.0);
-    std::size_t t = 0;
-    bool overflow = false;
-    assemble_with(circuit, opt, state, st, diode_v,
-                  [&](std::size_t, std::size_t, double v) {
-                    if (t < slots.size()) {
-                      values[static_cast<std::size_t>(slots[t++])] += v;
-                    } else {
-                      overflow = true;
-                    }
-                  },
-                  rhs);
-    return !overflow && t == slots.size();
+    SlotCursor cursor{slots.data(), values.data(), 0, slots.size()};
+    assemble_with(circuit, opt, state, st, diode_v, cursor, rhs);
+    return cursor.stopped_at(slots.size());
+  }
+
+  /// The part of a refill that holds for a whole Newton solve of `circuit`:
+  /// gmin and every element but the diodes, whose stamps alone move with the
+  /// linearisation point. Writes the partial sums into `fixed_values` and
+  /// `fixed_rhs` (both resized and zeroed first) and lists the diodes for
+  /// refill_diodes. Const, so one plan serves every campaign worker. Returns
+  /// false when `circuit` does not match the plan's stamp stream.
+  [[nodiscard, gnu::flatten]] bool refill_fixed(const Circuit& circuit, const SolveOptions& opt,
+                                  const CompanionState& state, const Structure& st,
+                                  std::vector<double>& fixed_values,
+                                  std::vector<double>& fixed_rhs,
+                                  std::vector<std::size_t>& diodes) const {
+    const auto& elements = circuit.elements();
+    if (element_begin.size() != elements.size() + 1) return false;
+    fixed_values.assign(pattern.nnz(), 0.0);
+    fixed_rhs.assign(st.dim, 0.0);
+    diodes.clear();
+    const std::vector<double> no_diode_v;  // read by diode stamps only, skipped here
+    SlotCursor cursor{slots.data(), fixed_values.data(), 0, element_begin[0]};
+    stamp_gmin(opt, st, cursor);
+    if (!cursor.stopped_at(element_begin[0])) return false;
+    for (std::size_t i = 0; i < elements.size(); ++i) {
+      if (elements[i].kind == ElementKind::Diode) {
+        diodes.push_back(i);
+        continue;
+      }
+      cursor.t = element_begin[i];
+      cursor.end = element_begin[i + 1];
+      stamp_element(circuit, i, opt, state, st, no_diode_v, cursor, fixed_rhs.data());
+      if (!cursor.stopped_at(element_begin[i + 1])) return false;
+    }
+    return true;
+  }
+
+  /// Completes one Newton iteration's refill: `values` and `rhs` hold a copy
+  /// of the fixed part, and every listed diode's stamps, linearised at
+  /// `diode_v`, are added on top. Returns false on a stamp-stream mismatch.
+  [[nodiscard, gnu::flatten]] bool refill_diodes(const Circuit& circuit, const SolveOptions& opt,
+                                   const CompanionState& state, const Structure& st,
+                                   const std::vector<double>& diode_v,
+                                   const std::vector<std::size_t>& diodes, double* values,
+                                   double* rhs) const {
+    SlotCursor cursor{slots.data(), values, 0, 0};
+    for (const std::size_t i : diodes) {
+      cursor.t = element_begin[i];
+      cursor.end = element_begin[i + 1];
+      stamp_element(circuit, i, opt, state, st, diode_v, cursor, rhs);
+      if (!cursor.stopped_at(element_begin[i + 1])) return false;
+    }
+    return true;
   }
 };
 

@@ -380,11 +380,15 @@ double values_max(const T* values, std::size_t nnz) {
 }  // namespace
 
 template <typename T>
-void SparseLu<T>::finish(const Pattern& pattern) {
+void SparseLu<T>::finish(const Pattern& pattern, bool new_structure) {
   factored_ = true;
   fill_ratio_ = pattern.nnz() > 0
                     ? static_cast<double>(sym_->lu_nnz()) / static_cast<double>(pattern.nnz())
                     : 1.0;
+  // The structure gauges only move with a new symbolic analysis; a numeric
+  // refactorisation over a frozen one would rewrite the same values (and a
+  // wall-clock timestamp each) once per Newton iteration.
+  if (!new_structure) return;
   SparseMetrics& metrics = SparseMetrics::get();
   metrics.nnz.set(static_cast<double>(pattern.nnz()));
   metrics.lu_nnz.set(static_cast<double>(sym_->lu_nnz()));
@@ -415,7 +419,7 @@ bool SparseLu<T>::factor(const Pattern& pattern, const T* values, std::string* e
   if (!gilbert_peierls(pattern, values, order, 0, *sym, pinv, floor, error)) return false;
   sym->pattern_fingerprint = pattern.fingerprint();
   sym_ = std::move(sym);
-  finish(pattern);
+  finish(pattern, true);
   SparseMetrics::get().factors.add();
   return true;
 }
@@ -432,7 +436,7 @@ bool SparseLu<T>::refactor(const Pattern& pattern, const T* values, std::string*
   u_diag_.resize(sym_->n);
   const double floor = dense::singular_floor(values_max(values, pattern.nnz()));
   if (!replay_prefix(*sym_, pattern, values, sym_->n, floor, error)) return false;
-  finish(pattern);
+  finish(pattern, false);
   SparseMetrics::get().refactors.add();
   return true;
 }
@@ -551,7 +555,7 @@ bool SparseLu<T>::partial_factor(const Symbolic& base, const Pattern& base_patte
   if (!gilbert_peierls(pattern, values, col_order, p, *sym, pinv, floor, error)) return false;
   sym->pattern_fingerprint = pattern.fingerprint();
   sym_ = std::move(sym);
-  finish(pattern);
+  finish(pattern, true);
   if (reused_columns != nullptr) *reused_columns = p;
   SparseMetrics& metrics = SparseMetrics::get();
   metrics.partial_refactors.add();

@@ -278,11 +278,17 @@ TEST(Query, CommentsAreIgnored) {
   EXPECT_DOUBLE_EQ(num("-- comment\n1 + 1 // more\n"), 2.0);
 }
 
-// A parameterised sweep of expression/expected pairs.
+// A parameterised sweep of expression/expected pairs. Each sample carries a
+// label so the test name is stable: gtest's default printer would show the raw
+// bytes of the struct, including the address of `source`, which differs from
+// build to build.
 struct Sample {
+  const char* label;
   const char* source;
   double expected;
 };
+
+void PrintTo(const Sample& sample, std::ostream* os) { *os << sample.label; }
 
 class ExpressionSweep : public ::testing::TestWithParam<Sample> {};
 
@@ -292,9 +298,11 @@ TEST_P(ExpressionSweep, Evaluates) {
 
 INSTANTIATE_TEST_SUITE_P(
     Arithmetic, ExpressionSweep,
-    ::testing::Values(Sample{"2 + 3 * 4 - 5", 9.0}, Sample{"2 * (3 + 4)", 14.0},
-                      Sample{"100 / 10 / 2", 5.0}, Sample{"2 + 2 == 4 ? 1 : 0", 1.0},
-                      Sample{"Sequence{1,2,3,4,5}.select(x | x % 2 == 1).sum()", 9.0},
-                      Sample{"Sequence{10,20}.collect(x | x / 10).max()", 2.0},
-                      Sample{"var a = 5; var b = a * a; b - a", 20.0},
-                      Sample{"not (1 > 2) and 3 >= 3 ? 42 : 0", 42.0}));
+    ::testing::Values(Sample{"precedence", "2 + 3 * 4 - 5", 9.0},
+                      Sample{"parentheses", "2 * (3 + 4)", 14.0},
+                      Sample{"left_assoc_division", "100 / 10 / 2", 5.0},
+                      Sample{"ternary", "2 + 2 == 4 ? 1 : 0", 1.0},
+                      Sample{"select_sum", "Sequence{1,2,3,4,5}.select(x | x % 2 == 1).sum()", 9.0},
+                      Sample{"collect_max", "Sequence{10,20}.collect(x | x / 10).max()", 2.0},
+                      Sample{"var_bindings", "var a = 5; var b = a * a; b - a", 20.0},
+                      Sample{"logic_ternary", "not (1 > 2) and 3 >= 3 ? 42 : 0", 42.0}));

@@ -19,6 +19,7 @@
 #include "decisive/sim/dense.hpp"
 #include "decisive/sim/solver.hpp"
 #include "decisive/sim/sparse.hpp"
+#include "rail_subjects.hpp"
 
 using namespace decisive;
 using namespace decisive::sim;
@@ -431,58 +432,8 @@ TEST(DensePivotFloor, AllZeroMatrixStillSingular) {
 
 namespace {
 
-/// Seeded randomized supply rail big enough to cross the sparse dimension
-/// threshold: a pinned rail feeding `stages` taps whose load is randomly a
-/// diode, an inductor (a DC branch unknown — deleted by its Open fault, the
-/// partial-refactorisation specimen), or a plain resistor.
-sim::BuiltCircuit random_rail(std::uint32_t seed, int stages) {
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<double> series(50.0, 500.0);
-  std::uniform_real_distribution<double> load(500.0, 5000.0);
-  std::uniform_int_distribution<int> kind(0, 2);
-
-  sim::BuiltCircuit built;
-  sim::Circuit& c = built.circuit;
-  const int vin = c.node("vin");
-  const int rail = c.node("rail");
-  c.add_vsource("V1", vin, 0, 12.0);
-  c.add_current_sensor("CS", vin, rail);
-  built.observables.push_back("CS");
-  built.components.push_back({"V1", "Source", "V1"});
-  for (int s = 0; s < stages; ++s) {
-    const std::string id = std::to_string(s);
-    const int tap = c.node("tap" + id);
-    c.add_resistor("R" + id, rail, tap, series(rng));
-    built.components.push_back({"R" + id, "Resistor", "R" + id});
-    switch (kind(rng)) {
-      case 0:
-        c.add_diode("D" + id, tap, 0);
-        built.components.push_back({"D" + id, "Diode", "D" + id});
-        break;
-      case 1:
-        c.add_inductor("L" + id, tap, 0, 1e-3);
-        built.components.push_back({"L" + id, "Inductor", "L" + id});
-        break;
-      default:
-        break;
-    }
-    c.add_resistor("RL" + id, tap, 0, load(rng));
-    if (s % 4 == 0) {
-      c.add_voltage_sensor("VS" + id, tap, 0);
-      built.observables.push_back("VS" + id);
-    }
-  }
-  return built;
-}
-
-core::ReliabilityModel rail_reliability() {
-  core::ReliabilityModel reliability;
-  reliability.add("Source", 5.0, {{"Open", 0.3}, {"Short", 0.2}, {"Drift", 0.5}});
-  reliability.add("Resistor", 5.0, {{"Open", 0.5}, {"Short", 0.3}, {"Drift", 0.2}});
-  reliability.add("Diode", 10.0, {{"Open", 0.3}, {"Short", 0.7}});
-  reliability.add("Inductor", 8.0, {{"Open", 0.6}, {"Short", 0.4}});
-  return reliability;
-}
+using rail_subjects::random_rail;
+using rail_subjects::random_rail_reliability;
 
 struct CampaignOutput {
   std::string csv;
@@ -512,7 +463,7 @@ TEST(SparseCampaign, FmedaByteIdenticalAcrossJobCountsAndSeeds) {
   // include structural Open/Short faults on branch-unknown elements.
   for (const std::uint32_t seed : {11u, 29u}) {
     const sim::BuiltCircuit built = random_rail(seed, 60);
-    const core::ReliabilityModel reliability = rail_reliability();
+    const core::ReliabilityModel reliability = random_rail_reliability();
     const CampaignOutput naive = run_campaign(built, reliability, false, 1);
     for (const int jobs : {1, 4, 8}) {
       const CampaignOutput sparse_run = run_campaign(built, reliability, true, jobs);
@@ -526,31 +477,47 @@ TEST(SparseCampaign, FmedaByteIdenticalAcrossJobCountsAndSeeds) {
 
 TEST(SparseCampaign, SparseTierActuallySolvesRowsAndReusesSymbolic) {
   // Guard against the property above passing vacuously: on a big rail the
-  // sparse tier must accept rows, adopt the shared nominal symbolic, and
-  // absorb at least one structural fault via partial refactorisation. The
-  // batch tier is switched off so the sparse tier gets first refusal on
-  // same-structure faults (otherwise the low-rank path absorbs them all and
-  // symbolic adoption never fires).
+  // fast path must accept rows, adopt the shared nominal symbolic, absorb
+  // at least one structural fault via partial refactorisation, and derive a
+  // stamp plan only for the nominal circuit and the stream-changing faults.
   const sim::BuiltCircuit built = random_rail(7u, 60);
-  core::CircuitFmeaOptions options;
-  options.batch = false;
   const std::uint64_t rows0 = counter_value("decisive_campaign_sparse_rows_total");
+  const std::uint64_t tasks0 = counter_value("decisive_campaign_tasks_total");
   const std::uint64_t reuse0 = counter_value("decisive_sparse_symbolic_reuse_total");
   const std::uint64_t partial0 = counter_value("decisive_sparse_partial_refactors_total");
-  (void)run_campaign(built, rail_reliability(), true, 1, options);
+  const std::uint64_t builds0 = counter_value("decisive_sparse_plan_builds_total");
+  (void)run_campaign(built, random_rail_reliability(), true, 1);
   EXPECT_GT(counter_value("decisive_campaign_sparse_rows_total"), rows0)
       << "sparse tier accepted no rows: the byte-identity property is vacuous";
   EXPECT_GT(counter_value("decisive_sparse_symbolic_reuse_total"), reuse0);
   EXPECT_GT(counter_value("decisive_sparse_partial_refactors_total"), partial0)
       << "no structural fault went through partial refactorisation";
+  const std::uint64_t tasks = counter_value("decisive_campaign_tasks_total") - tasks0;
+  const std::uint64_t builds = counter_value("decisive_sparse_plan_builds_total") - builds0;
+  EXPECT_GT(builds, 1u) << "no fault derived its own plan: inductor/source faults untested";
+  EXPECT_LT(builds * 4, tasks) << "value-only faults are rebuilding their stamp plans";
+}
+
+TEST(SparseCampaign, ContextRunsBelowSparseMinDim) {
+  // The campaign pays its symbolic analysis once, so the fast path runs at
+  // every dimension: a small rail far below sparse_min_dim still takes it.
+  const sim::BuiltCircuit built = rail_subjects::bench_rail(4);
+  const core::ReliabilityModel reliability = rail_subjects::bench_rail_reliability();
+  const std::uint64_t rows0 = counter_value("decisive_campaign_sparse_rows_total");
+  const CampaignOutput dense = run_campaign(built, reliability, false, 1);
+  const CampaignOutput fast = run_campaign(built, reliability, true, 1);
+  EXPECT_EQ(fast.csv, dense.csv);
+  EXPECT_EQ(fast.warnings, dense.warnings);
+  EXPECT_EQ(counter_value("decisive_campaign_sparse_rows_total") - rows0, 4u * 5u);
 }
 
 TEST(SparseCampaign, ForcedFallbacksStillByteIdentical) {
   // Slam every escape hatch and demand the same bytes: a zero fill budget
   // (every sparse factorisation rejected), and a dimension threshold above
-  // the system (sparse never engages).
+  // the system (one-shot solves stay dense; the campaign context ignores
+  // the threshold and must still match).
   const sim::BuiltCircuit built = random_rail(3u, 60);
-  const core::ReliabilityModel reliability = rail_reliability();
+  const core::ReliabilityModel reliability = random_rail_reliability();
   const CampaignOutput naive = run_campaign(built, reliability, false, 1);
 
   core::CircuitFmeaOptions fill_gate;
@@ -573,7 +540,7 @@ TEST(SparseCampaign, JournalsInterchangeBetweenSparseAndDenseRuns) {
   // The sparse knobs are excluded from the campaign fingerprint, so a
   // journal written dense must replay under sparse and reproduce the bytes.
   const sim::BuiltCircuit built = random_rail(5u, 60);
-  const core::ReliabilityModel reliability = rail_reliability();
+  const core::ReliabilityModel reliability = random_rail_reliability();
   const auto dir = std::filesystem::temp_directory_path() / "decisive_sparse_journal_test";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);

@@ -104,7 +104,7 @@ int usage() {
       "  same fmea <model.mdl> --reliability <workbook-dir> [--sm-model]\n"
       "            [--goals CS1,MC1] [--threshold 0.2] [--out fmeda.csv]\n"
       "            [--jobs N] [--journal <file>] [--shard i/N]\n"
-      "            [--retries N] [--best-effort] [--no-batch] [--no-sparse]\n"
+      "            [--retries N] [--best-effort] [--no-sparse]\n"
       "            [--heartbeat <file>] [--heartbeat-interval S]\n"
       "      Automated fault-injection FME(D)A (DECISIVE steps 3-4).\n"
       "      --sm-model deploys safety mechanisms from the workbook's\n"
@@ -120,12 +120,10 @@ int usage() {
       "      the containment retries of crashed/budget-exhausted faults\n"
       "      (default 1). --best-effort degrades an unanalysable baseline\n"
       "      to an all-NotApplicable table instead of exit 4.\n"
-      "      The campaign factors the nominal system once and solves\n"
-      "      eligible faults as low-rank updates; --no-batch forces the\n"
-      "      classic one-solve-per-fault path (byte-identical output,\n"
-      "      escape hatch only). Big systems refactor through a shared\n"
-      "      sparse symbolic analysis; --no-sparse pins every solve to the\n"
-      "      dense kernel (also byte-identical, also escape hatch only).\n"
+      "      The campaign analyses the nominal system's stamp pattern once\n"
+      "      and refactors every fault's numbers through it; --no-sparse\n"
+      "      pins every solve to the dense kernel (byte-identical output,\n"
+      "      escape hatch only).\n"
       "      Flight recorder: a progress heartbeat JSON is published next\n"
       "      to the journal (or at --heartbeat) and refreshed at most every\n"
       "      --heartbeat-interval seconds (default 1); watch it live with\n"
@@ -554,7 +552,6 @@ int cmd_fmea(const Args& args) {
     }
   }
   options.execution.best_effort = args.has("best-effort");
-  options.batch = !args.has("no-batch");
   options.sparse = !args.has("no-sparse");
   options.solver.sparse = options.sparse;
   if (const auto heartbeat = args.get("heartbeat")) {
