@@ -68,7 +68,6 @@ core::ReliabilityModel make_reliability() {
 core::CircuitFmeaOptions options_with_jobs(int jobs, bool sparse = true) {
   core::CircuitFmeaOptions options;
   options.jobs = jobs;
-  options.sparse = sparse;
   options.solver.sparse = sparse;
   return options;
 }

@@ -75,19 +75,21 @@ struct CircuitFmeaOptions {
   /// FMEDA output is byte-identical for any value.
   int jobs = 1;
   /// Unread. It switched the batched low-rank campaign tier, which is gone:
-  /// the campaign has one fast path (`sparse` below). The field stays
+  /// the campaign has one fast path (`solver.sparse`). The field stays
   /// declared only because the loopbench harness still assigns it; it goes
   /// when that harness is next revised.
   bool batch = true;
-  /// The campaign's factor-once fast path (campaign_solver.hpp): one nominal
-  /// stamp plan and symbolic analysis, shared read-only by every worker.
-  /// Faults that keep the nominal stamp stream refactor numerics only, and
-  /// structural Open/Short faults reuse the symbolic prefix. Rows are
-  /// accepted only behind correctness gates — the naive fallback always
-  /// runs the dense kernel — so output is byte-identical either way and,
-  /// like `jobs` and the shard spec, the flag is excluded from the campaign
-  /// fingerprint, so journals interchange freely. `false` is the
-  /// `--no-sparse` escape hatch.
+  /// Unread, like `batch`, and for the same reason: `solver.sparse` is the
+  /// one switch of the campaign's factor-once fast path
+  /// (campaign_solver.hpp). One nominal stamp plan and symbolic analysis are
+  /// shared read-only by every worker; faults that keep the nominal stamp
+  /// stream refactor numerics only, and structural Open/Short faults reuse
+  /// the symbolic prefix. Rows are accepted only behind correctness gates —
+  /// the naive fallback always runs the dense kernel — so output is
+  /// byte-identical either way and, like `jobs` and the shard spec, the
+  /// switch is excluded from the campaign fingerprint, so journals
+  /// interchange freely. `solver.sparse = false` is the `--no-sparse`
+  /// escape hatch.
   bool sparse = true;
   /// Journal / shard / containment controls of the campaign run.
   CampaignExecution execution;

@@ -572,7 +572,7 @@ FmedaResult CampaignRunner::run() const {
   // classic per-fault dense ladder, so results are byte-identical with the
   // context on or off.
   std::optional<sim::CampaignSparseContext> context;
-  if (options_.sparse && options_.solver.sparse && !pending.empty()) {
+  if (options_.solver.sparse && !pending.empty()) {
     obs::Span context_span("campaign.sparse_context");
     context.emplace(built_.circuit, options_.solver);
     if (!context->usable()) context.reset();

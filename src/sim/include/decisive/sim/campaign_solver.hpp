@@ -103,7 +103,7 @@ class CampaignSparseContext {
   /// Solves the nominal circuit (plain Newton on the sparse kernel) and
   /// freezes its stamp plan and symbolic analysis. The analysis is paid
   /// once per campaign, so the context runs at every system dimension —
-  /// `SolveOptions::sparse_min_dim` gates one-shot solves only. Unusable
+  /// kSparseMinDim gates one-shot solves only. Unusable
   /// when sparse is disabled, the system is empty, or the nominal solve
   /// needed anything beyond a clean sparse Newton run.
   CampaignSparseContext(const Circuit& nominal, const SolveOptions& options);

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <complex>
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
@@ -34,6 +35,13 @@ struct OperatingPoint {
   [[nodiscard]] double reading(const std::string& name) const;
 };
 
+/// One-shot solves (DC, transient, AC) of fewer unknowns stay on the dense
+/// kernel, which is as fast there. The fill gate measures every sparse
+/// factorisation against a dense one of at least this many unknowns, so the
+/// campaign context, which pays its symbolic analysis once and runs at any
+/// dimension, is not rejected on small systems.
+inline constexpr std::size_t kSparseMinDim = 48;
+
 /// Solver tuning knobs.
 struct SolveOptions {
   int max_newton_iterations = 200;
@@ -49,15 +57,17 @@ struct SolveOptions {
   double max_wall_clock_seconds = 5.0;
 
   /// Use the sparse symbolic-LU kernel for systems of at least
-  /// `sparse_min_dim` unknowns: the stamp pattern is analysed once per
-  /// circuit structure and every later Newton iteration / transient step /
-  /// AC point replays the numbers through the frozen pattern. Any numeric
-  /// surprise (pivot-gate trip, fill blow-up, non-convergence) silently
-  /// re-runs the attempt on the dense kernel, so results are identical to
-  /// `sparse = false`; the flag is an escape hatch, not a different answer.
+  /// kSparseMinDim unknowns (the campaign context: any size): the stamp
+  /// pattern is analysed once per circuit structure and every later Newton
+  /// iteration / transient step / AC point / campaign fault replays the
+  /// numbers through the frozen pattern. Any numeric surprise (pivot-gate
+  /// trip, fill blow-up, non-convergence) silently re-runs the attempt on the
+  /// dense kernel, so results agree with `sparse = false` to solver
+  /// precision; the flag is an escape hatch, not a different answer.
   bool sparse = true;
-  int sparse_min_dim = 48;       ///< below this, dense factorisation wins anyway
-  double sparse_max_fill = 0.25; ///< LU nnz / n^2 above which dense takes over
+  /// Fill gate: L+U entries above sparse_max_fill * max(n, kSparseMinDim)^2
+  /// send the solve to the dense kernel.
+  double sparse_max_fill = 0.25;
   /// When plain Newton gives up, try gmin stepping then source stepping
   /// before declaring the solve failed.
   bool recovery_ladder = true;

@@ -215,7 +215,7 @@ struct SparseMetrics {
   obs::Counter& partial_reused_columns;  ///< symbolic prefix columns reused across those
   obs::Counter& symbolic_reuse;     ///< factorisations that adopted a cached Symbolic
   obs::Counter& plan_builds;        ///< stamp patterns derived from scratch (SparsePlan::build)
-  obs::Counter& fallback_small_dim;      ///< dense because dim < sparse_min_dim
+  obs::Counter& fallback_small_dim;      ///< one-shot solve dense because dim < kSparseMinDim
   obs::Counter& fallback_fill;           ///< dense because fill ratio exceeded the gate
   obs::Counter& fallback_singular;       ///< dense because the sparse factor hit the floor
   obs::Counter& fallback_pivot;          ///< dense because repivoting did not heal the gate

@@ -29,25 +29,6 @@ constexpr double kMcuSupplyGuard = 1e-6;
   return iterations * 10 >= opt.max_newton_iterations * 9;
 }
 
-/// Fill gate of the campaign path, in L+U entries. One-shot solves compare
-/// against sparse_max_fill * dim^2, which every small MNA system exceeds
-/// (a handful of entries per column is already a quarter of a 12x12). Below
-/// the one-shot crossover a dense-ish factor is as cheap as the dense
-/// kernel's, so the campaign judges fill against a dense factor of at least
-/// sparse_min_dim unknowns. A zero budget still rejects every factorisation.
-[[nodiscard]] double fill_budget(std::size_t dim, const SolveOptions& opt) {
-  const double n = static_cast<double>(
-      std::max(dim, static_cast<std::size_t>(std::max(opt.sparse_min_dim, 1))));
-  return opt.sparse_max_fill * n * n;
-}
-
-[[nodiscard]] mna::Deadline deadline_after(std::chrono::steady_clock::time_point start,
-                                           const SolveOptions& opt) {
-  if (opt.max_wall_clock_seconds <= 0.0) return std::nullopt;
-  return start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                     std::chrono::duration<double>(opt.max_wall_clock_seconds));
-}
-
 }  // namespace
 
 std::string_view to_string(FastPathOutcome outcome) noexcept {
@@ -128,24 +109,15 @@ CampaignSparseContext::CampaignSparseContext(const Circuit& nominal,
   im.nominal = nominal;
   im.opt = options;
   im.structure = mna::analyze_structure(im.nominal, false);
-  if (!options.sparse) return;
+  if (!options.sparse || im.structure.dim == 0) return;
 
-  // Nominal plain-Newton solve on the sparse kernel at any dimension, under
-  // the campaign's fill gate; its workspace hands over the frozen stamp plan
-  // and symbolic analysis.
-  SolveOptions nominal_opt = options;
-  nominal_opt.sparse_min_dim = 1;
-  if (im.structure.dim > 0) {
-    const double dim = static_cast<double>(im.structure.dim);
-    nominal_opt.sparse_max_fill = fill_budget(im.structure.dim, options) / (dim * dim);
-  }
+  // Nominal plain-Newton solve on the sparse kernel at any dimension; its
+  // workspace hands over the frozen stamp plan and symbolic analysis.
   mna::Workspace ws;
-  mna::NewtonAttempt attempt =
-      mna::attempt_solve_auto(im.nominal, nominal_opt, im.dc_state, im.structure, nullptr,
-                              deadline_after(std::chrono::steady_clock::now(), options), ws);
-  if (!attempt.converged || ws.sparse_disabled || ws.slu.symbolic() == nullptr) {
-    return;  // a nominal circuit the sparse kernel distrusts stays naive
-  }
+  mna::NewtonAttempt attempt = mna::attempt_solve_sparse(
+      im.nominal, options, im.dc_state, im.structure, nullptr,
+      mna::deadline_after(std::chrono::steady_clock::now(), options), ws);
+  if (!attempt.converged) return;  // a nominal circuit the sparse kernel distrusts stays naive
   nominal_point_ = mna::make_operating_point(im.nominal, attempt.result);
   im.seed.x = std::move(attempt.x);
   im.seed.diode_v = std::move(attempt.diode_v);
@@ -193,15 +165,13 @@ std::optional<OperatingPoint> CampaignSparseContext::try_solve(
     return std::nullopt;
   }
   const Impl& im = *impl_;
-  sparse::SparseMetrics& smetrics = sparse::SparseMetrics::get();
   Workspace::Impl& w = *ws.impl_;
 
-  // First-factorisation mode: an unchanged pattern adopts the shared nominal
+  // The first factorisation: an unchanged pattern adopts the shared nominal
   // symbolic (numeric replay only); a deleted branch unknown reuses the
   // untouched symbolic prefix via partial_factor; anything else pays a full
   // factorisation (still one-off — later iterations refactor).
-  enum class First { Refactor, Partial, Full };
-  First first = First::Refactor;
+  mna::FactorStep<double> step{mna::FactorStart::Refactor};
   std::vector<std::int32_t> new_of_old;
   const mna::SparsePlan* plan = &im.plan;
   const mna::Structure* st = &im.structure;
@@ -231,16 +201,16 @@ std::optional<OperatingPoint> CampaignSparseContext::try_solve(
         new_of_old[static_cast<std::size_t>(keep_nodes + old_b)] =
             new_b < 0 ? -1 : keep_nodes + new_b;
       }
-      first = First::Partial;
+      step = {mna::FactorStart::Partial, im.symbolic.get(), &im.plan.pattern, &new_of_old};
     } else if (plan->fingerprint != im.plan.fingerprint) {
-      first = First::Full;
+      step.start = mna::FactorStart::Full;
     }
   }
-  if (first == First::Refactor) {
+  if (step.start == mna::FactorStart::Refactor) {
     // The workspace usually still holds the shared symbolic from its last
     // fault; only a repivot or a stream-changing fault replaced it.
     if (w.slu.symbolic() != im.symbolic) w.slu.adopt(im.symbolic);
-    smetrics.symbolic_reuse.add();
+    sparse::SparseMetrics::get().symbolic_reuse.add();
   }
 
   // Everything but the diode stamps is fixed for the whole solve: stamp it
@@ -253,46 +223,17 @@ std::optional<OperatingPoint> CampaignSparseContext::try_solve(
 
   const auto start = std::chrono::steady_clock::now();
   const std::size_t dim = st->dim;
-  bool factored = false;
   auto solve_step = [&](const std::vector<double>& diode_v, std::vector<double>& x_out,
                         SolveFailure& failure, std::string& message) {
     w.values = w.fixed_values;
     w.rhs = w.fixed_rhs;
+    failure = SolveFailure::Singular;
     if (!plan->refill_diodes(faulted, im.opt, im.dc_state, *st, diode_v, w.diodes,
                              w.values.data(), w.rhs.data())) {
-      failure = SolveFailure::Singular;
       message = "sparse plan does not match the stamped circuit";
       return false;
     }
-    std::string err;
-    bool ok = false;
-    if (factored || first == First::Refactor) {
-      ok = w.slu.refactor(plan->pattern, w.values.data(), &err);
-      if (!ok) {
-        ok = w.slu.factor(plan->pattern, w.values.data(), &err);
-        if (ok) smetrics.repivots.add();
-      }
-    } else if (first == First::Partial) {
-      ok = w.slu.partial_factor(*im.symbolic, im.plan.pattern, new_of_old, plan->pattern,
-                                w.values.data(), nullptr, &err);
-      if (!ok) ok = w.slu.factor(plan->pattern, w.values.data(), &err);
-    } else {
-      ok = w.slu.factor(plan->pattern, w.values.data(), &err);
-    }
-    if (!ok) {
-      failure = SolveFailure::Singular;
-      message = std::move(err);
-      return false;
-    }
-    if (!factored) {
-      factored = true;
-      if (static_cast<double>(w.slu.lu_nnz()) > fill_budget(dim, im.opt)) {
-        smetrics.fallback_fill.add();
-        failure = SolveFailure::Singular;
-        message = "sparse factorisation fill exceeded the density gate";
-        return false;
-      }
-    }
+    if (!step(w.slu, plan->pattern, w.values.data(), im.opt, message)) return false;
     // Solve into the Newton buffer so `w.rhs` still holds the final-iteration
     // RHS for the residual gate below.
     x_out = w.rhs;
@@ -300,8 +241,8 @@ std::optional<OperatingPoint> CampaignSparseContext::try_solve(
     return true;
   };
 
-  mna::NewtonAttempt attempt = mna::newton_attempt(faulted, im.opt, *st, &im.seed,
-                                                   deadline_after(start, im.opt), solve_step);
+  mna::NewtonAttempt attempt = mna::newton_attempt(
+      faulted, im.opt, *st, &im.seed, mna::deadline_after(start, im.opt), solve_step);
   if (!attempt.converged) {
     outcome = (attempt.failure == SolveFailure::IterationBudget ||
                attempt.failure == SolveFailure::WallClockBudget ||

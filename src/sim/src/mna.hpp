@@ -1,7 +1,8 @@
 // Internal MNA machinery shared by the single-solve path (solver.cpp) and
 // the factor-once campaign path (campaign_solver.cpp): system
-// structure analysis, stamp assembly, diode linearisation, and the bounded
-// Newton loop with a pluggable linear-solve step.
+// structure analysis, stamp assembly, diode linearisation, the bounded
+// Newton loop with a pluggable linear-solve step, and the one sparse factor
+// step (FactorStep) behind every sparse solve, AC included.
 //
 // Not installed; everything here is an implementation detail of the sim
 // library. The assembly and iteration logic is a verbatim extraction of the
@@ -83,6 +84,15 @@ struct NewtonSeed {
 };
 
 using Deadline = std::optional<std::chrono::steady_clock::time_point>;
+
+/// The wall-clock deadline of a solve started at `start`: none when
+/// max_wall_clock_seconds is not positive.
+inline Deadline deadline_after(std::chrono::steady_clock::time_point start,
+                               const SolveOptions& opt) {
+  if (opt.max_wall_clock_seconds <= 0.0) return std::nullopt;
+  return start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                     std::chrono::duration<double>(opt.max_wall_clock_seconds));
+}
 
 /// One bounded, non-throwing Newton run. `result` is only meaningful when
 /// `converged`; `x`/`diode_v` always carry the final iterate so a later
@@ -522,13 +532,81 @@ struct SparsePlan {
   }
 };
 
+/// The one fill formula, in L+U entries: sparse_max_fill times a dense
+/// factor of max(n, kSparseMinDim) unknowns. A zero budget rejects every
+/// factorisation.
+[[nodiscard]] inline double fill_budget(std::size_t dim, const SolveOptions& opt) {
+  const double n = static_cast<double>(std::max(dim, kSparseMinDim));
+  return opt.sparse_max_fill * n * n;
+}
+
+/// How a FactorStep's next factorisation starts.
+enum class FactorStart {
+  Refactor,  ///< numeric replay over the symbolic the SparseLu holds (own or adopted)
+  Partial,   ///< partial_factor from `base` across deleted unknowns
+  Full,      ///< fresh ordering, symbolic and numeric factorisation
+};
+
+/// The one sparse factor step of the sim library, shared by the one-shot
+/// DC/transient solves, the AC sweep and the campaign context. The first
+/// call starts as `start` says; every later call refactors. A stale pivot
+/// re-pivots once with a fresh factor(), and a failed partial_factor falls
+/// back to factor(). Every new symbolic is held against fill_budget. On
+/// failure the step counts its one fallback reason, sets `message` and
+/// returns false; the caller retreats to the dense kernel.
+template <typename T>
+struct FactorStep {
+  FactorStart start = FactorStart::Full;
+  // The base of a Partial start (see SparseLu::partial_factor).
+  const sparse::Symbolic* base = nullptr;
+  const sparse::Pattern* base_pattern = nullptr;
+  const std::vector<std::int32_t>* new_of_old = nullptr;
+
+  [[nodiscard]] bool operator()(sparse::SparseLu<T>& lu, const sparse::Pattern& pattern,
+                                const T* values, const SolveOptions& opt,
+                                std::string& message) {
+    sparse::SparseMetrics& metrics = sparse::SparseMetrics::get();
+    obs::Counter* reason = &metrics.fallback_singular;
+    bool fresh = start != FactorStart::Refactor;  // a new symbolic comes out
+    bool ok = false;
+    if (!fresh) {
+      ok = lu.refactor(pattern, values, &message);
+      if (!ok) {
+        fresh = true;
+        ok = lu.factor(pattern, values, &message);
+        if (ok) {
+          metrics.repivots.add();
+        } else {
+          reason = &metrics.fallback_pivot;
+        }
+      }
+    } else {
+      ok = (start == FactorStart::Partial &&
+            lu.partial_factor(*base, *base_pattern, *new_of_old, pattern, values, nullptr,
+                              &message)) ||
+           lu.factor(pattern, values, &message);
+    }
+    if (ok && fresh && static_cast<double>(lu.lu_nnz()) > fill_budget(pattern.n, opt)) {
+      reason = &metrics.fallback_fill;
+      message = "sparse factorisation fill exceeded the density gate";
+      ok = false;
+    }
+    if (!ok) {
+      reason->add();
+      return false;
+    }
+    start = FactorStart::Refactor;
+    return true;
+  }
+};
+
 /// Reusable buffers of one solve path. Hoisted out of the Newton loop so an
 /// attempt allocates its matrix once, and shared across ladder rungs /
-/// transient steps / campaign variants by the callers. The sparse plan and
-/// factorisation ride along so a repeated-solve caller pays symbolic
-/// analysis once per structure; `sparse_disabled` is the sticky half of the
-/// fallback ladder — once any sparse attempt on this workspace misbehaves,
-/// every later attempt goes straight to the dense kernel.
+/// transient steps by the callers. The sparse plan and factorisation ride
+/// along so a repeated-solve caller pays symbolic analysis once per
+/// structure; `sparse_disabled` is the sticky half of the fallback ladder —
+/// once any sparse attempt on this workspace misbehaves, every later
+/// attempt goes straight to the dense kernel.
 struct Workspace {
   dense::LuFactorization<double> lu;
   std::vector<double> rhs;
@@ -563,16 +641,56 @@ inline NewtonAttempt attempt_solve_dense(const Circuit& circuit, const SolveOpti
   return newton_attempt(circuit, opt, st, seed, deadline, solve_step);
 }
 
-/// The default path: sparse refactor-per-iteration for big systems, with a
-/// fall-back-on-anything-suspicious ladder onto the dense kernel. A sparse
-/// attempt that misbehaves in *any* way — singular factorisation, a
-/// pivot-gate trip that a fresh factorisation cannot heal, fill blow-up, a
-/// stamp-stream mismatch, or plain Newton non-convergence — is re-run in
-/// full on the dense kernel (identical classification and messages to
-/// attempt_solve_dense) and this workspace's sparse path is disabled for
-/// good. The dense kernel therefore stays the behavioural oracle: enabling
-/// sparse can only change which rounding a *converged* solution carries,
-/// never whether or how an attempt fails.
+/// One Newton attempt on the sparse kernel, at any dimension and with no
+/// dense retreat: the stamp plan is (re)derived when the structure changed,
+/// and every iteration refills it and takes one FactorStep. A failed attempt
+/// has counted its fallback reason (the step's, a stamp-stream mismatch, or
+/// plain non-convergence); the caller decides what happens next.
+inline NewtonAttempt attempt_solve_sparse(const Circuit& circuit, const SolveOptions& opt,
+                                          const CompanionState& state, const Structure& st,
+                                          const NewtonSeed* seed, const Deadline& deadline,
+                                          Workspace& ws) {
+  // (Re)derive the plan when the structure changed, e.g. between a transient
+  // run's DC initial condition and its stepping loop.
+  if (!ws.plan.ready || ws.plan.dim != st.dim || ws.plan.transient != state.transient) {
+    ws.plan.build(circuit, opt, state, st);
+  }
+  auto& metrics = sparse::SparseMetrics::get();
+  const sparse::Symbolic* held = ws.slu.symbolic().get();
+  FactorStep<double> step{held != nullptr && held->pattern_fingerprint == ws.plan.fingerprint
+                              ? FactorStart::Refactor
+                              : FactorStart::Full};
+  bool step_failed = false;  // a failed step has counted its own reason
+  auto solve_step = [&](const std::vector<double>& diode_v, std::vector<double>& x_out,
+                        SolveFailure& failure, std::string& message) {
+    ws.rhs.assign(st.dim, 0.0);
+    if (!ws.plan.refill(circuit, opt, state, st, diode_v, ws.rhs.data())) {
+      metrics.fallback_singular.add();
+      message = "sparse plan does not match the stamped circuit";
+    } else if (step(ws.slu, ws.plan.pattern, ws.plan.values.data(), opt, message)) {
+      ws.slu.solve_in_place(ws.rhs.data());
+      x_out = ws.rhs;
+      return true;
+    }
+    step_failed = true;
+    failure = SolveFailure::Singular;
+    return false;
+  };
+  NewtonAttempt attempt = newton_attempt(circuit, opt, st, seed, deadline, solve_step);
+  if (!attempt.converged && !step_failed) metrics.fallback_not_converged.add();
+  return attempt;
+}
+
+/// The default path: the sparse kernel for systems of at least kSparseMinDim
+/// unknowns, with a fall-back-on-anything-suspicious ladder onto the dense
+/// kernel. A sparse attempt that misbehaves in *any* way — singular
+/// factorisation, a pivot-gate trip that a fresh factorisation cannot heal,
+/// fill blow-up, a stamp-stream mismatch, or plain Newton non-convergence —
+/// is re-run in full on the dense kernel (identical classification and
+/// messages to attempt_solve_dense) and this workspace's sparse path is
+/// disabled for good. The dense kernel therefore stays the behavioural
+/// oracle: enabling sparse can only change which rounding a *converged*
+/// solution carries, never whether or how an attempt fails.
 inline NewtonAttempt attempt_solve_auto(const Circuit& circuit, const SolveOptions& opt,
                                         const CompanionState& state, const Structure& st,
                                         const NewtonSeed* seed, const Deadline& deadline,
@@ -580,72 +698,12 @@ inline NewtonAttempt attempt_solve_auto(const Circuit& circuit, const SolveOptio
   if (!opt.sparse || ws.sparse_disabled) {
     return attempt_solve_dense(circuit, opt, state, st, seed, deadline, ws);
   }
-  auto& metrics = sparse::SparseMetrics::get();
-  if (st.dim < static_cast<std::size_t>(std::max(opt.sparse_min_dim, 1))) {
-    metrics.fallback_small_dim.add();
+  if (st.dim < kSparseMinDim) {
+    sparse::SparseMetrics::get().fallback_small_dim.add();
     return attempt_solve_dense(circuit, opt, state, st, seed, deadline, ws);
   }
-  // (Re)derive the assembly plan when the structure changed — e.g. one
-  // workspace shared between a transient run's DC initial condition and its
-  // stepping loop, whose systems differ in both dimension and stamps.
-  if (!ws.plan.ready || ws.plan.dim != st.dim || ws.plan.transient != state.transient) {
-    ws.plan.build(circuit, opt, state, st);
-    ws.slu = sparse::SparseLu<double>{};  // symbolic was for another structure
-  }
-
-  obs::Counter* fallback_reason = &metrics.fallback_not_converged;
-  auto solve_step = [&](const std::vector<double>& diode_v, std::vector<double>& x_out,
-                        SolveFailure& failure, std::string& message) {
-    ws.rhs.assign(st.dim, 0.0);
-    if (!ws.plan.refill(circuit, opt, state, st, diode_v, ws.rhs.data())) {
-      fallback_reason = &metrics.fallback_singular;
-      failure = SolveFailure::Singular;
-      message = "sparse plan does not match the stamped circuit";
-      return false;
-    }
-    std::string err;
-    bool ok = false;
-    if (ws.slu.symbolic() != nullptr &&
-        ws.slu.symbolic()->pattern_fingerprint == ws.plan.fingerprint) {
-      ok = ws.slu.refactor(ws.plan.pattern, ws.plan.values.data(), &err);
-      if (!ok) {
-        // A frozen pivot went numerically stale; re-pivot from scratch
-        // before conceding the step.
-        ok = ws.slu.factor(ws.plan.pattern, ws.plan.values.data(), &err);
-        if (ok) {
-          metrics.repivots.add();
-        } else {
-          fallback_reason = &metrics.fallback_pivot;
-        }
-      }
-    } else {
-      ok = ws.slu.factor(ws.plan.pattern, ws.plan.values.data(), &err);
-      if (!ok) fallback_reason = &metrics.fallback_singular;
-    }
-    if (!ok) {
-      failure = SolveFailure::Singular;
-      message = std::move(err);
-      return false;
-    }
-    const double dim_sq = static_cast<double>(st.dim) * static_cast<double>(st.dim);
-    if (static_cast<double>(ws.slu.lu_nnz()) > opt.sparse_max_fill * dim_sq) {
-      fallback_reason = &metrics.fallback_fill;
-      failure = SolveFailure::Singular;
-      message = "sparse factorisation fill exceeded the density gate";
-      return false;
-    }
-    ws.slu.solve_in_place(ws.rhs.data());
-    x_out = ws.rhs;
-    return true;
-  };
-
-  NewtonAttempt attempt = newton_attempt(circuit, opt, st, seed, deadline, solve_step);
+  NewtonAttempt attempt = attempt_solve_sparse(circuit, opt, state, st, seed, deadline, ws);
   if (attempt.converged) return attempt;
-
-  // Anything suspicious: count why, disable this workspace's sparse path,
-  // and re-run the whole attempt on the dense oracle so the failure (or a
-  // late dense-only convergence) classifies exactly as with sparse off.
-  fallback_reason->add();
   ws.sparse_disabled = true;
   return attempt_solve_dense(circuit, opt, state, st, seed, deadline, ws);
 }

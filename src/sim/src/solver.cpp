@@ -111,11 +111,7 @@ std::optional<OperatingPoint> try_dc_operating_point(const Circuit& circuit,
   metrics.solves.add();
   obs::Span span("solver.dc", &metrics.solve_seconds);
   const auto start = std::chrono::steady_clock::now();
-  mna::Deadline deadline;
-  if (options.max_wall_clock_seconds > 0.0) {
-    deadline = start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                           std::chrono::duration<double>(options.max_wall_clock_seconds));
-  }
+  const mna::Deadline deadline = mna::deadline_after(start, options);
   mna::CompanionState state;  // DC: no companion sources.
   const mna::Structure structure = mna::analyze_structure(circuit, false);
   mna::Workspace ws;  // matrix + RHS storage shared across every ladder rung
@@ -291,17 +287,13 @@ std::vector<AcSample> ac_analysis(const Circuit& circuit, const std::string& sti
   mna::Workspace dc_ws;
   const mna::SolveResult dc = solve_system(circuit, opt, dc_state, dc_ws);
 
+  // AC, like transient, models inductors as admittances, so the unknowns are
+  // the nodes plus one branch per voltage source and current sensor.
   const auto& elements = circuit.elements();
-  const int n_nodes = circuit.node_count();
-  std::vector<int> branch_index(elements.size(), -1);
-  int n_branches = 0;
-  for (size_t i = 0; i < elements.size(); ++i) {
-    if (elements[i].kind == ElementKind::VSource ||
-        elements[i].kind == ElementKind::CurrentSensor) {
-      branch_index[i] = n_branches++;
-    }
-  }
-  const size_t dim = static_cast<size_t>(n_nodes - 1 + n_branches);
+  const mna::Structure st = mna::analyze_structure(circuit, true);
+  const int n_nodes = st.n_nodes;
+  const std::vector<int>& branch_index = st.branch_index;
+  const size_t dim = st.dim;
 
   // The AC stamp pass over an arbitrary matrix sink, mirroring the
   // mna::assemble_with idiom: the dense leg adds into flat storage, the
@@ -345,10 +337,7 @@ std::vector<AcSample> ac_analysis(const Circuit& circuit, const std::string& sti
           // Small-signal conductance at the DC operating point.
           const double va = dc.node_voltage[static_cast<size_t>(e.a)];
           const double vb = dc.node_voltage[static_cast<size_t>(e.b)];
-          const double vd = std::clamp(va - vb, -5.0, 0.9);
-          const double geq =
-              std::max(opt.diode_is / opt.diode_vt * std::exp(vd / opt.diode_vt), opt.gmin);
-          stamp_admittance(e.a, e.b, geq);
+          stamp_admittance(e.a, e.b, mna::linearise_diode(va - vb, opt).geq);
           break;
         }
         case ElementKind::VSource:
@@ -384,17 +373,17 @@ std::vector<AcSample> ac_analysis(const Circuit& circuit, const std::string& sti
   std::vector<std::complex<double>> rhs;
 
   // Sparse sweep state: pattern built lazily at the first sparse point, then
-  // refactored numerically per frequency. Any trouble (singular, pivot gate,
-  // fill blow-up) drops the rest of the sweep onto the dense kernel — same
-  // fall-back-on-anything-suspicious ladder as the DC path.
-  sparse::SparseMetrics& smetrics = sparse::SparseMetrics::get();
-  bool use_sparse =
-      opt.sparse && dim >= static_cast<size_t>(std::max(opt.sparse_min_dim, 1));
-  if (opt.sparse && !use_sparse) smetrics.fallback_small_dim.add();
+  // one FactorStep per frequency (a full factor first, refactors after). Any
+  // trouble (singular, pivot gate, fill blow-up) drops the rest of the sweep
+  // onto the dense kernel — same fall-back-on-anything-suspicious ladder as
+  // the DC path.
+  bool use_sparse = opt.sparse && dim >= kSparseMinDim;
+  if (opt.sparse && !use_sparse) sparse::SparseMetrics::get().fallback_small_dim.add();
   sparse::Pattern pattern;
   std::vector<std::int32_t> slots;
   std::vector<std::complex<double>> values;
   sparse::SparseLu<std::complex<double>> slu;
+  mna::FactorStep<std::complex<double>> step;
 
   std::vector<AcSample> sweep;
   for (const double frequency : frequencies_hz) {
@@ -421,27 +410,7 @@ std::vector<AcSample> ac_analysis(const Circuit& circuit, const std::string& sti
           },
           rhs.data(), jw);
       std::string err;
-      bool ok;
-      if (slu.symbolic() != nullptr) {
-        ok = slu.refactor(pattern, values.data(), &err);
-        if (!ok) {
-          ok = slu.factor(pattern, values.data(), &err);
-          if (ok) {
-            smetrics.repivots.add();
-          } else {
-            smetrics.fallback_pivot.add();
-          }
-        }
-      } else {
-        ok = slu.factor(pattern, values.data(), &err);
-        if (!ok) smetrics.fallback_singular.add();
-      }
-      if (ok && static_cast<double>(slu.lu_nnz()) >
-                    opt.sparse_max_fill * static_cast<double>(dim) * static_cast<double>(dim)) {
-        smetrics.fallback_fill.add();
-        ok = false;
-      }
-      if (ok) {
+      if (step(slu, pattern, values.data(), opt, err)) {
         slu.solve_in_place(rhs.data());
         solved = true;
       } else {

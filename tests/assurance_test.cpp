@@ -18,8 +18,12 @@ namespace {
 class EvidenceFile {
  public:
   explicit EvidenceFile(const std::string& content) {
+    // ctest runs every test in its own process, in parallel under -j: the
+    // test name keeps two processes' counters from naming the same file.
     path_ = std::filesystem::temp_directory_path() /
-            ("decisive-evidence-" + std::to_string(counter_++) + ".csv");
+            ("decisive-evidence-" +
+             std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+             "-" + std::to_string(counter_++) + ".csv");
     std::ofstream out(path_);
     out << content;
   }

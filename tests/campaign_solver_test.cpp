@@ -109,7 +109,6 @@ struct CampaignOutput {
 CampaignOutput run_campaign(const sim::BuiltCircuit& built,
                             const core::ReliabilityModel& reliability, bool fast, int jobs,
                             core::CircuitFmeaOptions options = {}) {
-  options.sparse = fast;
   options.solver.sparse = fast;
   options.jobs = jobs;
   const auto result = core::analyze_circuit(built, reliability, nullptr, options);
@@ -253,7 +252,7 @@ TEST(BatchContext, NominalPointMatchesClassicSolve) {
 }
 
 TEST(BatchContext, SolvedFaultAgreesWithFreshSolve) {
-  // A 4-stage rail sits far below sparse_min_dim: the campaign context
+  // A 4-stage rail sits far below kSparseMinDim: the campaign context
   // still runs, because its symbolic analysis is paid once per campaign.
   const auto built = bench_rail(4);
   const sim::SolveOptions options;

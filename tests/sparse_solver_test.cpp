@@ -443,7 +443,6 @@ struct CampaignOutput {
 CampaignOutput run_campaign(const sim::BuiltCircuit& built,
                             const core::ReliabilityModel& reliability, bool sparse_on,
                             int jobs, core::CircuitFmeaOptions options = {}) {
-  options.sparse = sparse_on;
   options.solver.sparse = sparse_on;
   options.jobs = jobs;
   const auto result = core::analyze_circuit(built, reliability, nullptr, options);
@@ -452,6 +451,36 @@ CampaignOutput run_campaign(const sim::BuiltCircuit& built,
 
 std::uint64_t counter_value(const char* name) {
   return obs::Registry::global().counter(name).value();
+}
+
+/// The sparse kernel counters a test reads to prove its sparse leg ran.
+struct SparseCounts {
+  std::uint64_t factors = 0;
+  std::uint64_t refactors = 0;
+  std::uint64_t fill = 0;
+
+  static SparseCounts now() {
+    return SparseCounts{counter_value("decisive_sparse_factors_total"),
+                        counter_value("decisive_sparse_refactors_total"),
+                        counter_value("decisive_sparse_fallback_fill_total")};
+  }
+};
+
+/// Sparse and dense AC sweeps agree to solver precision on every complex
+/// reading (compared as complex numbers: a tiny reading's phase is noise).
+void expect_ac_close(const std::vector<AcSample>& sparse, const std::vector<AcSample>& dense) {
+  ASSERT_EQ(sparse.size(), dense.size());
+  for (std::size_t k = 0; k < dense.size(); ++k) {
+    EXPECT_EQ(sparse[k].frequency_hz, dense[k].frequency_hz);
+    ASSERT_EQ(sparse[k].readings.size(), dense[k].readings.size());
+    for (const auto& [name, polar] : dense[k].readings) {
+      const auto& [magnitude, phase] = sparse[k].readings.at(name);
+      const std::complex<double> expected = std::polar(polar.first, polar.second);
+      EXPECT_LE(std::abs(std::polar(magnitude, phase) - expected),
+                1e-9 * std::max(1.0, std::abs(expected)))
+          << "reading " << name << " at " << dense[k].frequency_hz << " Hz";
+    }
+  }
 }
 
 }  // namespace
@@ -500,7 +529,7 @@ TEST(SparseCampaign, SparseTierActuallySolvesRowsAndReusesSymbolic) {
 
 TEST(SparseCampaign, ContextRunsBelowSparseMinDim) {
   // The campaign pays its symbolic analysis once, so the fast path runs at
-  // every dimension: a small rail far below sparse_min_dim still takes it.
+  // every dimension: a small rail far below kSparseMinDim still takes it.
   const sim::BuiltCircuit built = rail_subjects::bench_rail(4);
   const core::ReliabilityModel reliability = rail_subjects::bench_rail_reliability();
   const std::uint64_t rows0 = counter_value("decisive_campaign_sparse_rows_total");
@@ -512,10 +541,8 @@ TEST(SparseCampaign, ContextRunsBelowSparseMinDim) {
 }
 
 TEST(SparseCampaign, ForcedFallbacksStillByteIdentical) {
-  // Slam every escape hatch and demand the same bytes: a zero fill budget
-  // (every sparse factorisation rejected), and a dimension threshold above
-  // the system (one-shot solves stay dense; the campaign context ignores
-  // the threshold and must still match).
+  // Slam the escape hatch and demand the same bytes: a zero fill budget
+  // rejects every sparse factorisation, the campaign context included.
   const sim::BuiltCircuit built = random_rail(3u, 60);
   const core::ReliabilityModel reliability = random_rail_reliability();
   const CampaignOutput naive = run_campaign(built, reliability, false, 1);
@@ -528,12 +555,6 @@ TEST(SparseCampaign, ForcedFallbacksStillByteIdentical) {
   EXPECT_EQ(gated.warnings, naive.warnings);
   EXPECT_GT(counter_value("decisive_sparse_fallback_fill_total"), fill0)
       << "fill gate never tripped: the forced-fallback path went untested";
-
-  core::CircuitFmeaOptions high_floor;
-  high_floor.solver.sparse_min_dim = 1 << 20;
-  const CampaignOutput dense_only = run_campaign(built, reliability, true, 4, high_floor);
-  EXPECT_EQ(dense_only.csv, naive.csv);
-  EXPECT_EQ(dense_only.warnings, naive.warnings);
 }
 
 TEST(SparseCampaign, JournalsInterchangeBetweenSparseAndDenseRuns) {
@@ -560,17 +581,84 @@ TEST(SparseSolver, DcOperatingPointMatchesDenseToSolverPrecision) {
   // The solver-level contract is *correctness*, not bit-identity: the sparse
   // kernel pivots differently, so readings agree to solver precision only.
   // (Byte-identity is a campaign-level promise, tested above.)
-  const sim::BuiltCircuit built = random_rail(13u, 60);
+  const sim::BuiltCircuit built = random_rail(13u, 60);  // above kSparseMinDim
   SolveOptions dense_opt;
   dense_opt.sparse = false;
-  SolveOptions sparse_opt;
-  sparse_opt.sparse = true;
-  sparse_opt.sparse_min_dim = 1;  // force the sparse path
+  const SparseCounts before = SparseCounts::now();
   const OperatingPoint a = dc_operating_point(built.circuit, dense_opt);
-  const OperatingPoint b = dc_operating_point(built.circuit, sparse_opt);
+  const OperatingPoint b = dc_operating_point(built.circuit, SolveOptions{});
+  EXPECT_GT(SparseCounts::now().factors, before.factors) << "the DC solve never went sparse";
   ASSERT_EQ(a.readings.size(), b.readings.size());
   for (const auto& [name, value] : a.readings) {
     EXPECT_NEAR(b.reading(name), value, 1e-6 * std::max(1.0, std::abs(value)))
         << "reading " << name;
+  }
+}
+
+TEST(SparseSolver, AcSweepMatchesDenseToSolverPrecision) {
+  const sim::BuiltCircuit built = random_rail(13u, 60);
+  const std::vector<double> frequencies = {10.0, 1e3, 1e5, 1e7};
+  SolveOptions dense_opt;
+  dense_opt.sparse = false;
+  const auto dense = ac_analysis(built.circuit, "V1", frequencies, dense_opt);
+
+  // The extra frequencies of a sweep refactor the complex symbolic of the
+  // first; a one-point sweep runs the same DC linearisation and first
+  // factor, so the difference counts the sweep's own refactors.
+  const SparseCounts before = SparseCounts::now();
+  (void)ac_analysis(built.circuit, "V1", {frequencies.front()});
+  const SparseCounts one_point = SparseCounts::now();
+  const auto sparse = ac_analysis(built.circuit, "V1", frequencies);
+  const SparseCounts after = SparseCounts::now();
+  EXPECT_GT(after.factors, one_point.factors) << "the AC sweep never went sparse";
+  EXPECT_GE((after.refactors - one_point.refactors) - (one_point.refactors - before.refactors),
+            frequencies.size() - 1)
+      << "the AC sweep did not refactor once per extra frequency";
+  expect_ac_close(sparse, dense);
+}
+
+TEST(SparseSolver, AcFillGateFallsBackToDense) {
+  // A zero fill budget rejects the sweep's first factorisation: the sweep
+  // runs dense from there and still matches. One fill trip is the DC
+  // linearisation point's, one the sweep's.
+  const sim::BuiltCircuit built = random_rail(13u, 60);
+  const std::vector<double> frequencies = {10.0, 1e5};
+  SolveOptions dense_opt;
+  dense_opt.sparse = false;
+  SolveOptions gated;
+  gated.sparse_max_fill = 0.0;
+  const SparseCounts before = SparseCounts::now();
+  const auto sparse = ac_analysis(built.circuit, "V1", frequencies, gated);
+  EXPECT_EQ(SparseCounts::now().fill - before.fill, 2u);
+  expect_ac_close(sparse, ac_analysis(built.circuit, "V1", frequencies, dense_opt));
+}
+
+TEST(SparseSolver, TransientMatchesDenseToSolverPrecision) {
+  const sim::BuiltCircuit built = random_rail(13u, 60);
+  const double dt = 1e-6;
+  SolveOptions dense_opt;
+  dense_opt.sparse = false;
+  const auto dense = transient(built.circuit, 10 * dt, dt, dense_opt);
+
+  // Every step after the first refactors the transient symbolic: a one-step
+  // run pays the same DC initial condition and first factor.
+  const SparseCounts before = SparseCounts::now();
+  (void)transient(built.circuit, dt, dt);
+  const SparseCounts one_step = SparseCounts::now();
+  const auto sparse = transient(built.circuit, 10 * dt, dt);
+  const SparseCounts after = SparseCounts::now();
+  EXPECT_GT(after.factors, one_step.factors) << "the transient run never went sparse";
+  EXPECT_GE((after.refactors - one_step.refactors) - (one_step.refactors - before.refactors),
+            9u)
+      << "the transient steps did not refactor";
+
+  ASSERT_EQ(sparse.size(), dense.size());
+  for (std::size_t k = 0; k < dense.size(); ++k) {
+    EXPECT_EQ(sparse[k].time, dense[k].time);
+    ASSERT_EQ(sparse[k].point.readings.size(), dense[k].point.readings.size());
+    for (const auto& [name, value] : dense[k].point.readings) {
+      EXPECT_NEAR(sparse[k].point.reading(name), value, 1e-6 * std::max(1.0, std::abs(value)))
+          << "reading " << name << " at step " << k;
+    }
   }
 }

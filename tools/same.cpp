@@ -552,8 +552,7 @@ int cmd_fmea(const Args& args) {
     }
   }
   options.execution.best_effort = args.has("best-effort");
-  options.sparse = !args.has("no-sparse");
-  options.solver.sparse = options.sparse;
+  options.solver.sparse = !args.has("no-sparse");
   if (const auto heartbeat = args.get("heartbeat")) {
     if (*heartbeat == "true") {
       std::fprintf(stderr, "error: --heartbeat requires a file path\n");
