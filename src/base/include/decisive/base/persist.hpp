@@ -1,7 +1,8 @@
-// Shared building blocks of the line/token on-disk formats (session result
-// cache, campaign journal): token escaping, exact numeric round-trips, the
-// FNV-1a checksum both formats frame records with, and crash-safe whole-file
-// replacement.
+// Shared building blocks of the on-disk formats: the one whole-file reader
+// and writer every loader and saver goes through, and, for the line/token
+// formats (session result cache, campaign journal), token escaping, exact
+// numeric round-trips, the FNV-1a checksum both frame records with, and
+// crash-safe whole-file replacement.
 //
 // Durability rules every persisted artefact follows:
 //  - snapshot files (the result cache) are replaced atomically — write the
@@ -17,6 +18,17 @@
 #include <string_view>
 
 namespace decisive {
+
+/// Reads the whole file at `path` as bytes. Throws IoError naming `what` and
+/// the path when the file cannot be opened, is a directory, or the read
+/// fails ("cannot open model file 'x.ssam'"), so a directory never parses
+/// as an empty document.
+std::string read_whole_file(const std::string& path, std::string_view what);
+
+/// Writes `content` to `path`, truncating it. Throws IoError naming `what`
+/// and the path when the file cannot be opened or the write fails.
+void write_whole_file(const std::string& path, std::string_view content,
+                      std::string_view what);
 
 /// Percent-encodes the bytes that would break line/token framing (space,
 /// '%', CR, LF). An empty input becomes the literal token "%" so every field

@@ -1,6 +1,7 @@
 // Small string helpers used across the library.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,6 +33,11 @@ double parse_double(std::string_view text);
 
 /// Parses a signed 64-bit integer; throws ParseError on failure.
 long long parse_int(std::string_view text);
+
+/// Parses a non-negative integer (a job, retry or element count, a size
+/// bound); throws ParseError on garbage or a negative value, so a "-1" never
+/// wraps to a huge unsigned bound.
+std::uint64_t parse_count(std::string_view text);
 
 /// Parses "true"/"false"/"1"/"0" (case insensitive); throws ParseError otherwise.
 bool parse_bool(std::string_view text);

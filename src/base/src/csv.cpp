@@ -1,9 +1,7 @@
 #include "decisive/base/csv.hpp"
 
-#include <fstream>
-#include <sstream>
-
 #include "decisive/base/error.hpp"
+#include "decisive/base/persist.hpp"
 #include "decisive/base/strings.hpp"
 
 namespace decisive {
@@ -97,11 +95,7 @@ CsvTable parse_csv(std::string_view text, char sep) {
 }
 
 CsvTable read_csv_file(const std::string& path, char sep) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open CSV file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_csv(buffer.str(), sep);
+  return parse_csv(read_whole_file(path, "CSV file"), sep);
 }
 
 namespace {
@@ -135,10 +129,7 @@ std::string write_csv(const CsvTable& table, char sep) {
 }
 
 void write_csv_file(const std::string& path, const CsvTable& table, char sep) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw IoError("cannot write CSV file '" + path + "'");
-  out << write_csv(table, sep);
-  if (!out) throw IoError("failed while writing CSV file '" + path + "'");
+  write_whole_file(path, write_csv(table, sep), "CSV file");
 }
 
 }  // namespace decisive

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -13,6 +14,29 @@
 #include "decisive/base/error.hpp"
 
 namespace decisive {
+
+std::string read_whole_file(const std::string& path, std::string_view what) {
+  const std::string subject = std::string(what) + " '" + path + "'";
+  std::error_code ec;
+  if (std::filesystem::is_directory(path, ec)) {
+    throw IoError("cannot read " + subject + ": is a directory");
+  }
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw IoError("cannot open " + subject);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  if (in.bad()) throw IoError("failed while reading " + subject);
+  return std::move(buffer).str();
+}
+
+void write_whole_file(const std::string& path, std::string_view content,
+                      std::string_view what) {
+  const std::string subject = std::string(what) + " '" + path + "'";
+  std::ofstream out(path, std::ios::binary);
+  if (!out) throw IoError("cannot write " + subject);
+  out.write(content.data(), static_cast<std::streamsize>(content.size()));
+  if (!out) throw IoError("failed while writing " + subject);
+}
 
 std::string escape_token(std::string_view text) {
   std::string out;

@@ -91,6 +91,14 @@ long long parse_int(std::string_view text) {
   return value;
 }
 
+std::uint64_t parse_count(std::string_view text) {
+  const long long value = parse_int(text);
+  if (value < 0) {
+    throw ParseError("expected a count >= 0, got '" + std::string(text) + "'");
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
 bool parse_bool(std::string_view text) {
   const std::string_view t = trim(text);
   if (iequals(t, "true") || t == "1") return true;

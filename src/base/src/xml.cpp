@@ -1,9 +1,7 @@
 #include "decisive/base/xml.hpp"
 
-#include <fstream>
-#include <sstream>
-
 #include "decisive/base/error.hpp"
+#include "decisive/base/persist.hpp"
 #include "decisive/base/strings.hpp"
 
 namespace decisive::xml {
@@ -273,11 +271,7 @@ void write_element(const Element& element, int depth, std::string& out) {
 std::unique_ptr<Element> parse(std::string_view text) { return Parser(text).parse_document(); }
 
 std::unique_ptr<Element> parse_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open XML file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse(buffer.str());
+  return parse(read_whole_file(path, "XML file"));
 }
 
 std::string write(const Element& root) {
@@ -287,10 +281,7 @@ std::string write(const Element& root) {
 }
 
 void write_file(const std::string& path, const Element& root) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw IoError("cannot write XML file '" + path + "'");
-  out << write(root);
-  if (!out) throw IoError("failed while writing XML file '" + path + "'");
+  write_whole_file(path, write(root), "XML file");
 }
 
 std::string escape(std::string_view text) {

@@ -51,11 +51,15 @@ struct CampaignExecution {
   bool best_effort = false;
   /// Flight-recorder heartbeat JSON (obs/progress.hpp), atomically replaced
   /// as tasks complete so `same status` can watch the run live. "" derives
-  /// the path from the journal — "<journal_path>.heartbeat.json" — when a
-  /// journal is configured, and disables the heartbeat otherwise.
+  /// the path from the journal (see published_heartbeat_path).
   std::string heartbeat_path;
   /// Minimum seconds between heartbeat writes (0 = publish on every task).
   double heartbeat_interval_seconds = 1.0;
+
+  /// The heartbeat file the run publishes: `heartbeat_path` when set, else
+  /// "<journal_path>.heartbeat.json" when a journal is configured, else ""
+  /// (no heartbeat).
+  [[nodiscard]] std::string published_heartbeat_path() const;
 };
 
 struct CircuitFmeaOptions {

@@ -33,14 +33,9 @@
 namespace decisive::core {
 
 struct GraphFmeaOptions {
-  /// Recurse into subcomponents that are themselves composite.
-  bool recursive = true;
   /// Worker threads for the per-component analyses (0 = hardware
   /// concurrency). Output is identical for any value.
   int jobs = 1;
-  /// Natures treated as "loss of function or similar" by Algorithm 1 line 5.
-  std::vector<std::string> loss_natures = {"lossOfFunction", "loss", "open",
-                                           "omission", "no output"};
   /// When true, deploy each failure mode's highest-coverage SafetyMechanism
   /// already modelled on its component (SSAM-side Step 4b).
   bool apply_modelled_mechanisms = true;

@@ -51,6 +51,11 @@ class SafetyMechanismModel {
   static SafetyMechanismModel from_source(const drivers::DataSource& source,
                                           std::string_view table_name);
 
+  /// Loads a catalogue from any tabular location the driver registry opens:
+  /// a workbook directory with a SafetyMechanisms sheet, or a bare CSV file
+  /// (whose single table answers to the empty name whatever the file stem).
+  static SafetyMechanismModel load_catalogue(const std::string& location);
+
   [[nodiscard]] CsvTable to_table() const;
 
  private:

@@ -457,15 +457,11 @@ FmedaResult CampaignRunner::run() const {
   // Flight recorder: a throttled heartbeat next to the journal (or wherever
   // heartbeat_path points). Worker rows are sized to the configured job
   // count; the pool may end up smaller when few tasks are pending.
-  std::string heartbeat_path = execution.heartbeat_path;
-  if (heartbeat_path.empty() && !execution.journal_path.empty()) {
-    heartbeat_path = execution.journal_path + ".heartbeat.json";
-  }
   const unsigned jobs_configured =
       options_.jobs > 0 ? static_cast<unsigned>(options_.jobs)
                         : std::max(1u, std::thread::hardware_concurrency());
   obs::ProgressReporterOptions reporter_options;
-  reporter_options.path = heartbeat_path;
+  reporter_options.path = execution.published_heartbeat_path();
   reporter_options.phase = "campaign";
   reporter_options.total = shard.size();
   reporter_options.workers = static_cast<int>(jobs_configured);

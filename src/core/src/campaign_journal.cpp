@@ -112,11 +112,7 @@ CampaignJournalReplay replay_campaign_journal(const std::string& path,
     replay.note = "no journal at '" + path + "'";
     return replay;
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot read campaign journal '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
+  const std::string content = read_whole_file(path, "campaign journal");
 
   // Walk the lines, tracking the byte offset of the end of the last line
   // whose checksum verified: everything after that offset is a torn or

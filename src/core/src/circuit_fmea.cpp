@@ -12,6 +12,11 @@ double observable_deviation(double before, double after, double absolute_floor) 
   return std::abs(after - before) / reference;
 }
 
+std::string CampaignExecution::published_heartbeat_path() const {
+  if (!heartbeat_path.empty() || journal_path.empty()) return heartbeat_path;
+  return journal_path + ".heartbeat.json";
+}
+
 bool CircuitFmeaOptions::is_goal_observable(const std::string& name) const {
   if (safety_goal_observables.empty()) return true;
   return std::find(safety_goal_observables.begin(), safety_goal_observables.end(), name) !=

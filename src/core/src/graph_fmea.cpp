@@ -11,6 +11,7 @@
 
 #include "decisive/base/error.hpp"
 #include "decisive/base/strings.hpp"
+#include "decisive/core/fta.hpp"
 #include "decisive/obs/progress.hpp"
 #include "decisive/obs/registry.hpp"
 #include "decisive/obs/span.hpp"
@@ -48,11 +49,6 @@ struct GraphFmeaMetrics {
     return metrics;
   }
 };
-
-bool is_loss_nature(const GraphFmeaOptions& options, const std::string& nature) {
-  return std::any_of(options.loss_natures.begin(), options.loss_natures.end(),
-                     [&](const std::string& loss) { return iequals(loss, nature); });
-}
 
 /// The highest-coverage SafetyMechanism modelled on `component` that covers
 /// `failure_mode` (an SM with no `covers` targets covers every mode of its
@@ -112,8 +108,7 @@ struct UnitAnalysis {
 
 /// Phase A (serial): collect the analysis units in the exact pre-order the
 /// recursive walk visits them. Iterative — nesting depth is bounded by heap.
-std::vector<Unit> collect_units(const SsamModel& ssam, ObjectId root,
-                                const GraphFmeaOptions& options) {
+std::vector<Unit> collect_units(const SsamModel& ssam, ObjectId root) {
   std::vector<Unit> units;
   if (ssam.obj(root).refs("subcomponents").empty()) return units;
 
@@ -121,10 +116,6 @@ std::vector<Unit> collect_units(const SsamModel& ssam, ObjectId root,
   while (!stack.empty()) {
     Unit unit = std::move(stack.back());
     stack.pop_back();
-    if (!options.recursive) {
-      units.push_back(std::move(unit));
-      break;
-    }
     const auto& subs = ssam.obj(unit.component).refs("subcomponents");
     // Children in reverse so the LIFO pops them in declaration order.
     for (auto it = subs.rbegin(); it != subs.rend(); ++it) {
@@ -227,7 +218,7 @@ UnitSubRecord produce_sub_record(const SsamModel& ssam, const Unit& unit,
     row.distribution = ssam.obj(fm).get_real("distribution");
 
     const std::string nature = ssam.obj(fm).get_string("nature");
-    if (is_loss_nature(options, nature)) {
+    if (is_loss_failure_nature(nature)) {
       // Algorithm 1 lines 5–8.
       row.safety_related = single_point;
       row.effect = single_point ? EffectClass::DVF : EffectClass::None;
@@ -268,8 +259,7 @@ UnitSubRecord produce_sub_record(const SsamModel& ssam, const Unit& unit,
 
   // The walk-level diagnostic belongs to the sub record too, so a cached
   // replay reproduces it at the same position in the warning stream.
-  if (options.recursive && !ssam.obj(sub).refs("subcomponents").empty() &&
-      ssam.obj(sub).refs("ioNodes").empty()) {
+  if (!ssam.obj(sub).refs("subcomponents").empty() && ssam.obj(sub).refs("ioNodes").empty()) {
     record.warnings.push_back("composite subcomponent '" + sub_name +
                               "' has no IONodes; cannot recurse");
   }
@@ -310,7 +300,7 @@ FmedaResult analyze_component(SsamModel& ssam, ObjectId component,
   std::vector<const UnitRecord*> cached;
   {
     obs::Span collect_span("graph_fmea.collect", &metrics.collect_seconds);
-    units = collect_units(ssam, component, options);
+    units = collect_units(ssam, component);
     cached.assign(units.size(), nullptr);
     if (cache != nullptr) {
       for (size_t i = 0; i < units.size(); ++i) {
@@ -382,7 +372,7 @@ FmedaResult analyze_component(SsamModel& ssam, ObjectId component,
     }
 
     // Algorithm 1 line 14: repeat for composite subcomponents.
-    if (options.recursive && !ssam.obj(sub).refs("subcomponents").empty() &&
+    if (!ssam.obj(sub).refs("subcomponents").empty() &&
         !ssam.obj(sub).refs("ioNodes").empty()) {
       const size_t child = unit_index.at(sub);
       stack.push_back({child, ssam.obj(sub).refs("subcomponents"), 0});

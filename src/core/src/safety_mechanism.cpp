@@ -78,6 +78,13 @@ SafetyMechanismModel SafetyMechanismModel::from_source(const drivers::DataSource
   return from_table(*table);
 }
 
+SafetyMechanismModel SafetyMechanismModel::load_catalogue(const std::string& location) {
+  const auto source = drivers::DriverRegistry::global().open(location);
+  const std::string_view table =
+      source->table("SafetyMechanisms") != nullptr ? "SafetyMechanisms" : "";
+  return from_source(*source, table);
+}
+
 CsvTable SafetyMechanismModel::to_table() const {
   CsvTable table;
   table.header = {"Component", "Failure_Mode", "Safety_Mechanism", "Cov.", "Cost(hrs)"};

@@ -1,10 +1,9 @@
 #include "decisive/drivers/aadl.hpp"
 
 #include <cctype>
-#include <fstream>
-#include <sstream>
 
 #include "decisive/base/error.hpp"
+#include "decisive/base/persist.hpp"
 #include "decisive/base/strings.hpp"
 #include "decisive/obs/registry.hpp"
 #include "decisive/obs/span.hpp"
@@ -327,11 +326,7 @@ AadlPackage parse_aadl(std::string_view text) {
 }
 
 AadlPackage parse_aadl_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open AADL file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_aadl(buffer.str());
+  return parse_aadl(read_whole_file(path, "AADL file"));
 }
 
 }  // namespace decisive::drivers

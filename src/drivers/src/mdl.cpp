@@ -1,9 +1,7 @@
 #include "decisive/drivers/mdl.hpp"
 
-#include <fstream>
-#include <sstream>
-
 #include "decisive/base/error.hpp"
+#include "decisive/base/persist.hpp"
 #include "decisive/base/strings.hpp"
 
 namespace decisive::drivers {
@@ -249,11 +247,7 @@ void write_system(const MdlSystem& system, int depth, std::string& out) {
 MdlModel parse_mdl(std::string_view text) { return MdlParser(text).parse(); }
 
 MdlModel parse_mdl_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open MDL file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_mdl(buffer.str());
+  return parse_mdl(read_whole_file(path, "MDL file"));
 }
 
 std::string write_mdl(const MdlModel& model) {
@@ -267,10 +261,7 @@ std::string write_mdl(const MdlModel& model) {
 }
 
 void write_mdl_file(const std::string& path, const MdlModel& model) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw IoError("cannot write MDL file '" + path + "'");
-  out << write_mdl(model);
-  if (!out) throw IoError("failed while writing MDL file '" + path + "'");
+  write_whole_file(path, write_mdl(model), "MDL file");
 }
 
 }  // namespace decisive::drivers

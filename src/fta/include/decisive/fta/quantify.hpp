@@ -45,7 +45,9 @@ struct Quantification {
   std::vector<ImportanceRow> importance;  ///< FV-descending, then component id
 };
 
-/// Quantifies a fault tree's minimal cut sets over `mission_hours`.
+/// Quantifies a fault tree's minimal cut sets over `mission_hours`. Throws
+/// AnalysisError unless `mission_hours` is finite and >= 0 (as does
+/// cut_sets_csv).
 Quantification quantify(const core::FaultTree& tree, double mission_hours);
 
 /// Cut sets as a CSV table: order, members, rare-event cut probability. A

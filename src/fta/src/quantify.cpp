@@ -6,6 +6,8 @@
 #include <map>
 #include <unordered_map>
 
+#include "decisive/base/error.hpp"
+#include "decisive/base/strings.hpp"
 #include "decisive/fta/zbdd.hpp"
 
 namespace decisive::fta {
@@ -85,21 +87,36 @@ std::string format_probability(double p) {
   return buffer;
 }
 
+/// Mission failure probability and label of every basic event. A negative
+/// or non-finite mission time has no probability to give, so it is an
+/// AnalysisError rather than a negative "probability"; a zero mission is the
+/// degenerate but well-defined all-zero case.
+struct BasicEvents {
+  std::map<ObjectId, double> p_of;
+  std::map<ObjectId, std::string> label_of;
+};
+
+BasicEvents basic_events(const core::FaultTree& tree, double mission_hours) {
+  if (!std::isfinite(mission_hours) || mission_hours < 0.0) {
+    throw AnalysisError("mission time must be a finite number of hours >= 0, got " +
+                        format_number(mission_hours, 6));
+  }
+  BasicEvents events;
+  for (const auto& node : tree.nodes) {
+    if (node.kind != core::GateKind::Basic) continue;
+    events.p_of[node.component] = 1.0 - std::exp(-node.failure_rate * mission_hours);
+    events.label_of[node.component] = node.label;
+  }
+  return events;
+}
+
 }  // namespace
 
 Quantification quantify(const core::FaultTree& tree, double mission_hours) {
+  const auto [p_of, label_of] = basic_events(tree, mission_hours);
   Quantification out;
   CutFamily family = build_family(tree);
   const size_t nvars = family.component_of_var.size();
-
-  // Mission failure probability and label per basic event.
-  std::map<ObjectId, double> p_of;
-  std::map<ObjectId, std::string> label_of;
-  for (const auto& node : tree.nodes) {
-    if (node.kind != core::GateKind::Basic) continue;
-    p_of[node.component] = 1.0 - std::exp(-node.failure_rate * mission_hours);
-    label_of[node.component] = node.label;
-  }
   std::vector<double> prob(nvars, 0.0);
   for (size_t v = 0; v < nvars; ++v) {
     const auto it = p_of.find(family.component_of_var[v]);
@@ -157,13 +174,7 @@ Quantification quantify(const core::FaultTree& tree, double mission_hours) {
 }
 
 CsvTable cut_sets_csv(const core::FaultTree& tree, double mission_hours) {
-  std::map<ObjectId, std::string> label_of;
-  std::map<ObjectId, double> p_of;
-  for (const auto& node : tree.nodes) {
-    if (node.kind != core::GateKind::Basic) continue;
-    label_of[node.component] = node.label;
-    p_of[node.component] = 1.0 - std::exp(-node.failure_rate * mission_hours);
-  }
+  const auto [p_of, label_of] = basic_events(tree, mission_hours);
 
   CsvTable table;
   table.header = {"Order", "Cut set", "P(cut)"};

@@ -1,10 +1,9 @@
 #include "decisive/model/xmi.hpp"
 
-#include <fstream>
-#include <sstream>
 #include <unordered_map>
 
 #include "decisive/base/error.hpp"
+#include "decisive/base/persist.hpp"
 #include "decisive/base/strings.hpp"
 #include "decisive/base/xml.hpp"
 
@@ -43,10 +42,7 @@ std::string save_xmi(const FullLoadRepository& repo, const MetaPackage& package)
 
 void save_xmi_file(const std::string& path, const FullLoadRepository& repo,
                    const MetaPackage& package) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw IoError("cannot write model file '" + path + "'");
-  out << save_xmi(repo, package);
-  if (!out) throw IoError("failed while writing model file '" + path + "'");
+  write_whole_file(path, save_xmi(repo, package), "model file");
 }
 
 void load_xmi(FullLoadRepository& repo, const MetaPackage& package, std::string_view text) {
@@ -104,11 +100,7 @@ void load_xmi(FullLoadRepository& repo, const MetaPackage& package, std::string_
 
 void load_xmi_file(FullLoadRepository& repo, const MetaPackage& package,
                    const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open model file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  load_xmi(repo, package, buffer.str());
+  load_xmi(repo, package, read_whole_file(path, "model file"));
 }
 
 }  // namespace decisive::model

@@ -1,12 +1,12 @@
 #include "decisive/obs/trace.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <utility>
 
 #include "decisive/base/error.hpp"
 #include "decisive/base/json.hpp"
+#include "decisive/base/persist.hpp"
 #include "decisive/obs/shard.hpp"
 
 namespace decisive::obs {
@@ -108,10 +108,7 @@ std::string TraceCollector::to_chrome_json() const {
 }
 
 void TraceCollector::write_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw IoError("cannot open trace output file '" + path + "'");
-  out << to_chrome_json();
-  if (!out) throw IoError("failed writing trace output file '" + path + "'");
+  write_whole_file(path, to_chrome_json(), "trace output file");
 }
 
 std::size_t TraceCollector::event_count() const {

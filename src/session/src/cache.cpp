@@ -1,7 +1,6 @@
 #include "decisive/session/cache.hpp"
 
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "decisive/base/error.hpp"
@@ -59,7 +58,9 @@ void ResultCache::store(UnitRecord record) {
 namespace {
 
 constexpr const char* kMagic = "decisive-result-cache";
-constexpr int kVersion = 1;
+// Version 2: the unit fingerprints no longer mix the retired graph-FMEA
+// `recursive` / `loss_natures` options, so every version-1 key is stale.
+constexpr int kVersion = 2;
 
 core::EffectClass effect_from_token(const std::string& token) {
   const std::uint64_t value = u64_from_token(token);
@@ -128,11 +129,7 @@ ResultCache::LoadReport ResultCache::load_file(const std::string& path) {
     report.note = "no cache file at '" + path + "'";
     return report;
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot read result cache '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
+  const std::string content = read_whole_file(path, "result cache");
 
   // Split off the trailing checksum line and verify it before parsing
   // anything — truncated or bit-flipped files must never be trusted.

@@ -160,10 +160,7 @@ Fingerprint unit_fingerprint(const SsamModel& ssam, ObjectId component, const st
 Fingerprint options_fingerprint(const core::GraphFmeaOptions& options) {
   FingerprintBuilder builder;
   builder.mix(std::string_view("graph-fmea-options"));
-  builder.mix(options.recursive);
   builder.mix(options.apply_modelled_mechanisms);
-  builder.mix(static_cast<std::uint64_t>(options.loss_natures.size()));
-  for (const auto& nature : options.loss_natures) builder.mix(nature);
   return builder.finish();
 }
 

@@ -285,10 +285,7 @@ class Service {
     if (tokens.size() == 5) options.execution.heartbeat_path = tokens[4];
     // Announce the heartbeat before the (long) run so a client watching the
     // stream knows where `same status` can observe the campaign live.
-    std::string heartbeat = options.execution.heartbeat_path;
-    if (heartbeat.empty() && !options.execution.journal_path.empty()) {
-      heartbeat = options.execution.journal_path + ".heartbeat.json";
-    }
+    const std::string heartbeat = options.execution.published_heartbeat_path();
     if (!heartbeat.empty()) {
       out_ << "heartbeat " << heartbeat << "\n";
       out_.flush();
@@ -310,10 +307,7 @@ class Service {
     }
     AnalysisSession& session = require_session();
     if (!session.has_result()) cmd_reanalyze();  // the front needs an FMEA
-    const auto source = drivers::DriverRegistry::global().open(tokens[1]);
-    const std::string_view table_name =
-        source->table("SafetyMechanisms") != nullptr ? "SafetyMechanisms" : "";
-    const auto catalogue = core::SafetyMechanismModel::from_source(*source, table_name);
+    const auto catalogue = core::SafetyMechanismModel::load_catalogue(tokens[1]);
     core::ParetoOptions options;
     options.jobs = analysis_.jobs;
     if (tokens.size() == 3) options.epsilon = parse_double(tokens[2]);
@@ -330,11 +324,11 @@ class Service {
   /// same invalidation discipline as the per-unit FMEA cache.
   void cmd_fta(const std::vector<std::string>& tokens) {
     if (tokens.size() > 3) throw ModelError("usage: fta [<mission-hours> [<max-order>]]");
+    // fta::quantify rejects a negative or non-finite mission time.
+    const double mission = tokens.size() > 1 ? parse_double(tokens[1]) : 10000.0;
+    const size_t max_order = tokens.size() > 2 ? parse_count(tokens[2]) : 0;
     AnalysisSession& session = require_session();
     if (!session.has_result()) cmd_reanalyze();  // the LFM needs an FMEA
-    const double mission = tokens.size() > 1 ? parse_double(tokens[1]) : 10000.0;
-    const size_t max_order =
-        tokens.size() > 2 ? static_cast<size_t>(parse_int(tokens[2])) : 0;
 
     auto& registry = obs::Registry::global();
     const ModelFingerprints fps = fingerprint_model(*model_, session.root(), analysis_);

@@ -2,10 +2,16 @@
 // and the deterministic PRNG.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
+
 #include "decisive/base/csv.hpp"
 #include "decisive/base/error.hpp"
 #include "decisive/base/json.hpp"
 #include "decisive/base/lang_string.hpp"
+#include "decisive/base/persist.hpp"
 #include "decisive/base/strings.hpp"
 #include "decisive/base/table.hpp"
 #include "decisive/base/xml.hpp"
@@ -58,6 +64,14 @@ TEST(Strings, ParseInt) {
   EXPECT_EQ(parse_int("42"), 42);
   EXPECT_EQ(parse_int(" -7 "), -7);
   EXPECT_THROW(parse_int("4.2"), ParseError);
+}
+
+TEST(Strings, ParseCountRejectsNegativeValues) {
+  EXPECT_EQ(parse_count("0"), 0u);
+  EXPECT_EQ(parse_count(" 12 "), 12u);
+  // A negative count must never wrap to a huge unsigned bound.
+  EXPECT_THROW(parse_count("-1"), ParseError);
+  EXPECT_THROW(parse_count("two"), ParseError);
 }
 
 TEST(Strings, ParseBool) {
@@ -308,4 +322,32 @@ TEST(Rng, BelowStaysInBounds) {
   Rng rng(9);
   for (int i = 0; i < 1000; ++i) EXPECT_LT(rng.below(13), 13u);
   EXPECT_EQ(rng.below(0), 0u);
+}
+
+// ------------------------------------------------------ whole-file I/O --
+
+TEST(WholeFile, RoundTripsBytesAndRejectsDirectories) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("decisive-whole-file-" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "bytes.bin").string();
+  const std::string bytes("a\0b\r\nc", 7);
+  write_whole_file(path, bytes, "test file");
+  EXPECT_EQ(read_whole_file(path, "test file"), bytes);
+  write_whole_file(path, "", "test file");
+  EXPECT_EQ(read_whole_file(path, "test file"), "");
+
+  // A directory is an I/O error naming the path, never an empty document.
+  try {
+    (void)read_whole_file(dir.string(), "model file");
+    ADD_FAILURE() << "reading a directory did not throw";
+  } catch (const IoError& error) {
+    EXPECT_NE(std::string(error.what()).find("'" + dir.string() + "': is a directory"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_THROW((void)read_whole_file((dir / "missing").string(), "model file"), IoError);
+  EXPECT_THROW(write_whole_file((dir / "no" / "such" / "dir").string(), "x", "file"),
+               IoError);
+  std::filesystem::remove_all(dir);
 }

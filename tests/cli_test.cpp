@@ -779,3 +779,143 @@ TEST(Cli, StatusFlagsASigkilledShardDeadWhileOthersFinish) {
   EXPECT_NE(status.output.find("shard 1/4"), std::string::npos) << status.output;
   EXPECT_NE(status.output.find("3 done, 1 dead"), std::string::npos) << status.output;
 }
+
+// ---------------------------------------------------------------------------
+// Front-end argument checks: a valueless value flag, a negative count or a
+// bad mission time is rejected before any analysis runs and writes nothing.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Runs the CLI with `dir` as its working directory, so a test can check
+/// that a rejected command left no file behind.
+RunResult run_in(const std::filesystem::path& dir, const std::string& arguments) {
+  return run(arguments, "cd '" + dir.string() + "' && ");
+}
+
+bool is_empty_dir(const std::filesystem::path& dir) {
+  return std::filesystem::directory_iterator(dir) == std::filesystem::directory_iterator();
+}
+
+const std::string kBrake = kAssets + "/brake_chain.ssam --component BrakeChain";
+
+}  // namespace
+
+TEST(CliArguments, ValuelessOutIsAUsageErrorAndWritesNoFile) {
+  TempDir tmp;
+  const auto result = run_in(tmp.path, "graph-fmea " + kBrake + " --out");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("--out requires a value"), std::string::npos) << result.output;
+  EXPECT_EQ(result.output.find("FMEDA written"), std::string::npos) << result.output;
+  EXPECT_TRUE(is_empty_dir(tmp.path));
+}
+
+TEST(CliArguments, ValuelessReliabilityIsAUsageError) {
+  TempDir tmp;
+  const auto result =
+      run_in(tmp.path, "fmea " + kAssets + "/power_supply.mdl --out fmeda.csv --reliability");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("--reliability requires a value"), std::string::npos)
+      << result.output;
+  EXPECT_TRUE(is_empty_dir(tmp.path));
+}
+
+TEST(CliArguments, NegativeMaxOrderIsAUsageError) {
+  TempDir tmp;
+  const auto result = run_in(tmp.path, "fta " + kBrake + " --max-order -1 --out cuts.csv");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("--max-order must be >= 0"), std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("P(top event"), std::string::npos) << result.output;
+  EXPECT_TRUE(is_empty_dir(tmp.path));
+}
+
+TEST(CliArguments, NegativeScalabilityCountFailsFast) {
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = run("scalability -1");
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("must be >= 0"), std::string::npos) << result.output;
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+}
+
+TEST(CliArguments, NegativeJobsKeepsItsMessageOnEveryCommand) {
+  TempDir tmp;
+  const std::string catalogue = kAssets + "/reliability_workbook";
+  for (const std::string& command :
+       {"fmea " + kAssets + "/power_supply.mdl --reliability " + catalogue + " --out f.csv",
+        "graph-fmea " + kBrake + " --out f.csv",
+        "sm-search " + kBrake + " --catalogue " + catalogue + " --out f.csv",
+        "session " + kBrake + " < /dev/null"}) {
+    const auto result = run_in(tmp.path, command + " --jobs -1");
+    EXPECT_EQ(result.exit_code, 2) << command << "\n" << result.output;
+    EXPECT_NE(result.output.find("error: --jobs must be >= 0 (0 = all cores)"),
+              std::string::npos)
+        << command << "\n" << result.output;
+  }
+  EXPECT_TRUE(is_empty_dir(tmp.path));
+}
+
+TEST(CliArguments, CountsBeyondIntAreUsageErrors) {
+  // 2^32 + 1 used to truncate to one worker through static_cast<int>.
+  const auto result = run("graph-fmea " + kBrake + " --jobs 4294967297");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("--jobs must be <= 2147483647"), std::string::npos)
+      << result.output;
+}
+
+TEST(CliArguments, NegativeMissionHoursPrintsNoProbability) {
+  TempDir tmp;
+  const auto result =
+      run_in(tmp.path, "fta " + kBrake + " --mission-hours -5000 --out cuts.csv");
+  EXPECT_NE(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("mission time"), std::string::npos) << result.output;
+  EXPECT_EQ(result.output.find("P(top event"), std::string::npos) << result.output;
+  EXPECT_TRUE(is_empty_dir(tmp.path));
+}
+
+TEST(CliArguments, SessionFtaRejectsBadArguments) {
+  TempDir tmp;
+  const auto script = (tmp.path / "script.txt").string();
+  {
+    std::ofstream out(script);
+    out << "fta -5000\nfta 1000 -2\nquit\n";
+  }
+  const auto result = run("session " + kBrake + " < " + script);
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("error: analysis error: mission time"), std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("error: parse error: expected a count >= 0, got '-2'"),
+            std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("cut-sets"), std::string::npos) << result.output;
+  EXPECT_EQ(result.output.find(" exact "), std::string::npos) << result.output;
+}
+
+TEST(CliArguments, TargetAsilWithLfmObjectiveIsRejectedUpFront) {
+  // brake_chain has no multi-point faults: the LFM early return used to
+  // exit 0 before the conflict was ever checked.
+  TempDir tmp;
+  const auto result = run("sm-search " + kBrake + " --catalogue " + kAssets +
+                          "/reliability_workbook --target-asil B --objective lfm");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("--objective lfm applies to the Pareto front only"),
+            std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("no multi-point faults"), std::string::npos) << result.output;
+}
+
+TEST(CliArguments, DirectoryInputsAreIoErrors) {
+  TempDir tmp;
+  const std::string dir = tmp.path.string();
+  for (const std::string& command :
+       {"validate " + dir, "check-trace " + dir,
+        "fmea " + dir + " --reliability " + kAssets + "/reliability_workbook"}) {
+    const auto result = run(command);
+    EXPECT_EQ(result.exit_code, 1) << command << "\n" << result.output;
+    EXPECT_NE(result.output.find("io error: cannot read"), std::string::npos)
+        << command << "\n" << result.output;
+    EXPECT_NE(result.output.find("'" + dir + "': is a directory"), std::string::npos)
+        << command << "\n" << result.output;
+  }
+}

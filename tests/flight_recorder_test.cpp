@@ -12,6 +12,7 @@
 
 #include "decisive/base/error.hpp"
 #include "decisive/base/json.hpp"
+#include "decisive/core/circuit_fmea.hpp"
 #include "decisive/obs/bench_diff.hpp"
 #include "decisive/obs/progress.hpp"
 #include "decisive/obs/registry.hpp"
@@ -85,6 +86,15 @@ TEST(FlightRecorder, ReporterPublishesParseableHeartbeats) {
   EXPECT_EQ(beat.state, "done");
   EXPECT_EQ(beat.done, 4u);
   EXPECT_EQ(beat.outcomes.at("Converged"), 3u);
+}
+
+TEST(FlightRecorder, HeartbeatPathDefaultsNextToTheJournal) {
+  core::CampaignExecution execution;
+  EXPECT_EQ(execution.published_heartbeat_path(), "");  // no journal: no heartbeat
+  execution.journal_path = "run.journal";
+  EXPECT_EQ(execution.published_heartbeat_path(), "run.journal.heartbeat.json");
+  execution.heartbeat_path = "live.json";  // an explicit path wins
+  EXPECT_EQ(execution.published_heartbeat_path(), "live.json");
 }
 
 TEST(FlightRecorder, ReporterClampsOutOfRangeWorkerIds) {

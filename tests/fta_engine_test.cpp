@@ -347,6 +347,20 @@ TEST(FtaQuantify, DegenerateInputsStayFinite) {
   EXPECT_TRUE(std::isfinite(q0.importance[0].rrw));
 }
 
+TEST(FtaQuantify, RejectsNegativeOrNonFiniteMissionTime) {
+  Fixture f;
+  const auto a = f.leaf("a", 1000, 1.0);
+  f.m.connect(f.sys, f.in, a.in);
+  f.m.connect(f.sys, a.out, f.out);
+  const auto tree = fta::synthesize_fault_tree_zbdd(f.m, f.sys);
+  // 1 - exp(-lambda * t) is no probability for t < 0: the old code returned
+  // a negative "probability" here.
+  for (const double t : {-5000.0, std::nan(""), HUGE_VAL}) {
+    EXPECT_THROW((void)fta::quantify(tree, t), AnalysisError) << t;
+    EXPECT_THROW((void)fta::cut_sets_csv(tree, t), AnalysisError) << t;
+  }
+}
+
 TEST(FtaQuantify, CutSetCsvCarriesTruncationWarning) {
   Fixture f;
   for (int i = 0; i < 3; ++i) {

@@ -101,7 +101,7 @@ TEST(FingerprintTest, OptionsAreFoldedIntoEveryUnit) {
   const auto sys = core::make_scaled_architecture(2, 2);
   core::GraphFmeaOptions a;
   core::GraphFmeaOptions b;
-  b.loss_natures.push_back("erroneous");
+  b.apply_modelled_mechanisms = !a.apply_modelled_mechanisms;
   const auto fa = fingerprint_model(*sys.model, sys.system, a);
   const auto fb = fingerprint_model(*sys.model, sys.system, b);
   // Different analysis settings must never share cache entries: every unit

@@ -47,6 +47,17 @@ SafetyMechanismModel sample_catalogue() {
 
 }  // namespace
 
+TEST(Catalogue, LoadsFromAWorkbookOrABareCsvFile) {
+  // The workbook answers by its SafetyMechanisms sheet, the bare CSV file by
+  // its single unnamed table: both are the same catalogue.
+  const std::string workbook = std::string(DECISIVE_ASSETS_DIR) + "/reliability_workbook";
+  for (const std::string& location : {workbook, workbook + "/SafetyMechanisms.csv"}) {
+    const auto catalogue = SafetyMechanismModel::load_catalogue(location);
+    ASSERT_EQ(catalogue.entries().size(), 1u) << location;
+    EXPECT_EQ(catalogue.entries().front().name, "ECC") << location;
+  }
+}
+
 TEST(ApplyDeployment, UpdatesRows) {
   const auto fmea = sample_fmea();
   const auto cat = sample_catalogue();

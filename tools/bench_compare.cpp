@@ -20,26 +20,17 @@
 // Exit codes: 0 = within tolerance, 1 = regression, 2 = structural error
 // (unreadable file, schema/kind/bench mismatch, missing metric) or usage.
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "decisive/base/error.hpp"
+#include "decisive/base/persist.hpp"
 #include "decisive/base/strings.hpp"
 #include "decisive/obs/bench_diff.hpp"
 
 using namespace decisive;
 
 namespace {
-
-std::string read_file_or_throw(const std::string& path, const char* what) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError(std::string("cannot open ") + what + " '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 int usage() {
   std::fprintf(stderr,
@@ -81,14 +72,14 @@ int main(int argc, char** argv) {
 
   try {
     const obs::BenchSnapshot fresh =
-        obs::parse_bench_snapshot(read_file_or_throw(positional[0], "fresh snapshot"));
+        obs::parse_bench_snapshot(read_whole_file(positional[0], "fresh snapshot"));
     const obs::BenchSnapshot baseline =
-        obs::parse_bench_snapshot(read_file_or_throw(positional[1], "baseline snapshot"));
+        obs::parse_bench_snapshot(read_whole_file(positional[1], "baseline snapshot"));
 
     if (!checks_path.empty()) {
       // The checks file's default_tolerance yields to an explicit --tolerance.
       double file_tolerance = options.default_tolerance;
-      options.checks = obs::parse_bench_checks(read_file_or_throw(checks_path, "checks file"),
+      options.checks = obs::parse_bench_checks(read_whole_file(checks_path, "checks file"),
                                                fresh.bench, &file_tolerance);
       if (!tolerance_from_cli) options.default_tolerance = file_tolerance;
       if (options.checks.empty()) {
@@ -101,9 +92,7 @@ int main(int argc, char** argv) {
     const obs::BenchDiffReport report = obs::diff_bench_snapshots(fresh, baseline, options);
     std::printf("%s", report.render().c_str());
     if (!report_path.empty()) {
-      std::ofstream out(report_path, std::ios::binary);
-      if (!out) throw IoError("cannot write report '" + report_path + "'");
-      out << report.to_json();
+      write_whole_file(report_path, report.to_json(), "report");
       std::fprintf(stderr, "report written to %s\n", report_path.c_str());
     }
     return report.regression() ? 1 : 0;

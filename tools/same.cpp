@@ -23,21 +23,24 @@
 // `same merge-metrics`).
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
-#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "decisive/assurance/case.hpp"
 #include "decisive/assurance/evaluate.hpp"
 #include "decisive/base/csv.hpp"
 #include "decisive/base/error.hpp"
+#include "decisive/base/persist.hpp"
 #include "decisive/base/strings.hpp"
 #include "decisive/base/xml.hpp"
 #include "decisive/core/campaign_journal.hpp"
@@ -67,16 +70,69 @@ using namespace decisive;
 
 namespace {
 
-/// Tiny flag parser: positionals plus --key value / --switch.
+/// A command-line usage error: reported as "error: <message>", exit 2.
+class UsageError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Parses a non-negative count given on the command line (`name` is the flag
+/// or positional it came from); a negative or malformed count is a usage
+/// error, never a wrapped unsigned bound. Counts land in an `int` (jobs,
+/// retries) or are scaled (MiB to bytes), so they are capped at INT_MAX.
+std::uint64_t cli_count(const std::string& text, const std::string& name,
+                        std::string_view note = "") {
+  std::uint64_t value = 0;
+  try {
+    value = parse_count(text);
+  } catch (const ParseError&) {
+    throw UsageError(name + " must be >= 0" + std::string(note));
+  }
+  constexpr auto kMax = static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+  if (value > kMax) throw UsageError(name + " must be <= " + std::to_string(kMax));
+  return value;
+}
+
+/// Tiny flag parser: positionals plus --key value / --switch. A flag given
+/// without a value is stored valueless (nullopt), so a value flag can tell
+/// "--out" from "--out <file>".
 struct Args {
   std::vector<std::string> positional;
-  std::map<std::string, std::string> options;
+  std::map<std::string, std::optional<std::string>> options;
 
+  /// True when the flag was given, with or without a value (switches).
+  [[nodiscard]] bool has(const std::string& key) const { return options.contains(key); }
+
+  /// The value of a value flag, nullopt when the flag is absent; given
+  /// without a value it is a usage error.
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const {
     const auto it = options.find(key);
-    return it == options.end() ? std::nullopt : std::optional(it->second);
+    if (it == options.end()) return std::nullopt;
+    if (!it->second.has_value()) throw UsageError("--" + key + " requires a value");
+    return it->second;
   }
-  [[nodiscard]] bool has(const std::string& key) const { return options.contains(key); }
+
+  /// The value of a required flag; `placeholder` names it in the usage error
+  /// ("--component <name> is required").
+  [[nodiscard]] std::string require(const std::string& key, const char* placeholder) const {
+    const auto value = get(key);
+    if (!value.has_value()) throw UsageError("--" + key + " " + placeholder + " is required");
+    return *value;
+  }
+
+  /// A non-negative count flag (see cli_count); nullopt when absent.
+  [[nodiscard]] std::optional<std::uint64_t> count(const std::string& key,
+                                                   std::string_view note = "") const {
+    const auto text = get(key);
+    if (!text.has_value()) return std::nullopt;
+    return cli_count(*text, "--" + key, note);
+  }
+
+  /// --jobs as a worker count (0 = all cores); `fallback` when absent.
+  [[nodiscard]] int jobs(int fallback) const {
+    const auto value = count("jobs", " (0 = all cores)");
+    return value.has_value() ? static_cast<int>(*value) : fallback;
+  }
 };
 
 Args parse_args(int argc, char** argv, int start) {
@@ -88,7 +144,7 @@ Args parse_args(int argc, char** argv, int start) {
       if (i + 1 < argc && !starts_with(argv[i + 1], "--")) {
         args.options[key] = argv[++i];
       } else {
-        args.options[key] = "true";
+        args.options[key] = std::nullopt;
       }
     } else {
       args.positional.push_back(arg);
@@ -221,13 +277,30 @@ int usage() {
       "                       shard-stamped JSON snapshot, mergeable across\n"
       "                       shards with `same merge-metrics`.\n"
       "\n"
+      "  A value flag given without a value (a bare `--out`) and a negative\n"
+      "  count (--jobs, --retries, --max-order, --budget-mib, scalability\n"
+      "  <elements>) are usage errors: exit 2, before any analysis runs.\n"
+      "\n"
       "  `same campaign` is an alias for `same fmea` (the fault-injection\n"
       "  campaign engine).\n");
   return 2;
 }
 
+/// Loads the SSAM model at `path` into `model` and returns the component
+/// named `name`, the root every model-level analysis starts from.
+ssam::ObjectId load_component(ssam::SsamModel& model, const std::string& path,
+                              const std::string& name) {
+  model::load_xmi_file(model.repo(), model.meta(), path);
+  const auto component = model.find_by_name(ssam::cls::Component, name);
+  if (component == model::kNullObject) {
+    throw ModelError("no component named '" + name + "'");
+  }
+  return component;
+}
+
 int cmd_monitor(const Args& args) {
   if (args.positional.empty()) return usage();
+  const auto samples = args.get("samples");
   ssam::SsamModel model;
   model::load_xmi_file(model.repo(), model.meta(), args.positional[0]);
   auto monitor = core::RuntimeMonitor::generate_all(model, args.has("include-static"));
@@ -239,7 +312,6 @@ int cmd_monitor(const Args& args) {
     return 0;
   }
 
-  const auto samples = args.get("samples");
   if (!samples.has_value()) return 0;
   const CsvTable frames = read_csv_file(*samples);
   size_t violations = 0;
@@ -273,29 +345,19 @@ int cmd_validate(const Args& args) {
 
 int cmd_fta(const Args& args) {
   if (args.positional.empty()) return usage();
-  const auto component_name = args.get("component");
-  if (!component_name.has_value()) {
-    std::fprintf(stderr, "error: --component <name> is required\n");
-    return 2;
-  }
-  ssam::SsamModel model;
-  model::load_xmi_file(model.repo(), model.meta(), args.positional[0]);
-  const auto component = model.find_by_name(ssam::cls::Component, *component_name);
-  if (component == model::kNullObject) {
-    std::fprintf(stderr, "error: no component named '%s'\n", component_name->c_str());
-    return 1;
-  }
+  const std::string component_name = args.require("component", "<name>");
   const double mission = parse_double(args.get("mission-hours").value_or("10000"));
   fta::ZbddFtaOptions options;
-  if (const auto max_order = args.get("max-order")) {
-    options.max_order = static_cast<size_t>(parse_int(*max_order));
-  }
+  options.max_order = args.count("max-order").value_or(0);
+  const auto out = args.get("out");
 
+  ssam::SsamModel model;
+  const auto component = load_component(model, args.positional[0], component_name);
   const auto tree = fta::synthesize_fault_tree_zbdd(model, component, options);
+  // Quantify before printing: a bad mission time fails with no output.
+  const auto quant = fta::quantify(tree, mission);
   std::printf("%s\n", tree.to_text().c_str());
   std::printf("minimal cut sets: %zu\n", tree.cut_sets.size());
-
-  const auto quant = fta::quantify(tree, mission);
   std::printf("P(top event | %.0f h) = %.3e exact  (rare-event bound %.3e)\n\n", mission,
               quant.exact_probability, quant.rare_event_bound);
   std::printf("%-40s %12s %14s %8s %10s\n", "basic event", "Birnbaum",
@@ -312,7 +374,7 @@ int cmd_fta(const Args& args) {
   const auto lfm = fta::classify_latent(model, tree, fmea);
   std::printf("\n%s", lfm.to_text().c_str());
 
-  if (const auto out = args.get("out")) {
+  if (out.has_value()) {
     write_csv_file(*out, fta::cut_sets_csv(tree, mission));
     std::printf("cut sets written to %s\n", out->c_str());
   }
@@ -321,109 +383,73 @@ int cmd_fta(const Args& args) {
 
 int cmd_graph_fmea(const Args& args) {
   if (args.positional.empty()) return usage();
-  const auto component_name = args.get("component");
-  if (!component_name.has_value()) {
-    std::fprintf(stderr, "error: --component <name> is required\n");
-    return 2;
-  }
-  ssam::SsamModel model;
-  model::load_xmi_file(model.repo(), model.meta(), args.positional[0]);
-  const auto component = model.find_by_name(ssam::cls::Component, *component_name);
-  if (component == model::kNullObject) {
-    std::fprintf(stderr, "error: no component named '%s'\n", component_name->c_str());
-    return 1;
-  }
-
+  const std::string component_name = args.require("component", "<name>");
   core::GraphFmeaOptions options;
-  if (const auto jobs = args.get("jobs")) {
-    options.jobs = static_cast<int>(parse_int(*jobs));
-    if (options.jobs < 0) {
-      std::fprintf(stderr, "error: --jobs must be >= 0 (0 = all cores)\n");
-      return 2;
-    }
-  }
-  if (const auto heartbeat = args.get("heartbeat")) {
-    if (*heartbeat == "true") {
-      std::fprintf(stderr, "error: --heartbeat requires a file path\n");
-      return 2;
-    }
-    options.heartbeat_path = *heartbeat;
-  }
+  options.jobs = args.jobs(options.jobs);
+  options.heartbeat_path = args.get("heartbeat").value_or("");
   if (const auto interval = args.get("heartbeat-interval")) {
     options.heartbeat_interval_seconds = parse_double(*interval);
   }
+  const auto out = args.get("out");
 
+  ssam::SsamModel model;
+  const auto component = load_component(model, args.positional[0], component_name);
   const auto result = core::analyze_component(model, component, options);
   std::printf("%s\n", result.to_text().render().c_str());
   for (const auto& warning : result.warnings) std::printf("note: %s\n", warning.c_str());
   std::printf("\nSPFM = %s  ->  %s\n", format_percent(result.spfm()).c_str(),
               result.asil_label().c_str());
-  if (const auto out = args.get("out")) {
+  if (out.has_value()) {
     write_csv_file(*out, result.to_csv());
     std::printf("FMEDA written to %s\n", out->c_str());
   }
   return 0;
 }
 
-/// Loads a safety-mechanism catalogue from any tabular source: a workbook
-/// directory with a SafetyMechanisms sheet, or a bare CSV file (whose single
-/// table answers to the empty name regardless of the file stem).
-core::SafetyMechanismModel load_catalogue(const std::string& location) {
-  const auto source = drivers::DriverRegistry::global().open(location);
-  const std::string_view table =
-      source->table("SafetyMechanisms") != nullptr ? "SafetyMechanisms" : "";
-  return core::SafetyMechanismModel::from_source(*source, table);
+/// Writes a deployment search's answer to --out (CSV) and --json; `what`
+/// names it in the confirmation lines ("front", "deployment").
+void write_search_outputs(const std::optional<std::string>& out,
+                          const std::optional<std::string>& json_out, const char* what,
+                          const core::FmedaResult& fmea,
+                          const std::vector<core::Deployment>& deployments,
+                          const CsvTable& table) {
+  if (out.has_value()) {
+    write_csv_file(*out, table);
+    std::printf("%s written to %s\n", what, out->c_str());
+  }
+  if (json_out.has_value()) {
+    write_whole_file(*json_out, core::front_to_json(fmea, deployments), "JSON file");
+    std::printf("%s written to %s\n", what, json_out->c_str());
+  }
 }
 
 int cmd_sm_search(const Args& args) {
   if (args.positional.empty()) return usage();
-  const auto component_name = args.get("component");
-  if (!component_name.has_value()) {
-    std::fprintf(stderr, "error: --component <name> is required\n");
-    return 2;
-  }
-  const auto catalogue_location = args.get("catalogue");
-  if (!catalogue_location.has_value()) {
-    std::fprintf(stderr, "error: --catalogue <csv-or-workbook> is required\n");
-    return 2;
-  }
-
-  ssam::SsamModel model;
-  model::load_xmi_file(model.repo(), model.meta(), args.positional[0]);
-  const auto component = model.find_by_name(ssam::cls::Component, *component_name);
-  if (component == model::kNullObject) {
-    std::fprintf(stderr, "error: no component named '%s'\n", component_name->c_str());
-    return 1;
-  }
-  const auto fmea = core::analyze_component(model, component, {});
-  const auto catalogue = load_catalogue(*catalogue_location);
-
+  const std::string component_name = args.require("component", "<name>");
+  const std::string catalogue_location = args.require("catalogue", "<csv-or-workbook>");
   // --objective lfm: weight the Pareto metric axis by the FTA's multi-point
   // rows, so the front trades cost against latent-fault exposure instead of
   // the single-point SPFM.
   const std::string objective = to_lower(args.get("objective").value_or("spfm"));
   if (objective != "spfm" && objective != "lfm") {
-    std::fprintf(stderr, "error: --objective must be 'spfm' or 'lfm'\n");
-    return 2;
+    throw UsageError("--objective must be 'spfm' or 'lfm'");
   }
-  std::vector<double> lfm_weights;
-  if (objective == "lfm") {
-    const auto tree = fta::synthesize_fault_tree_zbdd(model, component);
-    const auto lfm = fta::classify_latent(model, tree, fmea);
-    if (!lfm.has_multi_point()) {
-      std::printf("no multi-point faults: the LFM objective has nothing to optimise\n");
-      return 0;
-    }
-    lfm_weights = fta::lfm_row_weights(lfm);
+  const auto target = args.get("target-asil");
+  if (target.has_value() && objective == "lfm") {
+    throw UsageError("--objective lfm applies to the Pareto front only (drop --target-asil)");
   }
+  core::ParetoOptions options;
+  options.jobs = args.jobs(options.jobs);
+  if (const auto epsilon = args.get("epsilon")) options.epsilon = parse_double(*epsilon);
+  const auto out = args.get("out");
+  const auto json_out = args.get("json");
 
-  if (const auto target = args.get("target-asil")) {
-    if (objective == "lfm") {
-      std::fprintf(stderr,
-                   "error: --objective lfm applies to the Pareto front only "
-                   "(drop --target-asil)\n");
-      return 2;
-    }
+  ssam::SsamModel model;
+  const auto component = load_component(model, args.positional[0], component_name);
+  const auto fmea = core::analyze_component(model, component, {});
+  const auto catalogue = core::SafetyMechanismModel::load_catalogue(catalogue_location);
+
+  if (target.has_value()) {
     // Min-cost deployment for one target: greedy by default, provably
     // optimal branch-and-bound with --optimal.
     const auto deployment = args.has("optimal")
@@ -446,67 +472,50 @@ int cmd_sm_search(const Args& args) {
     std::printf("SPFM %s -> %s  ->  SPFM %s -> %s\n", format_percent(fmea.spfm()).c_str(),
                 fmea.asil_label().c_str(), format_percent(deployment->spfm).c_str(),
                 core::achieved_asil(deployment->spfm).c_str());
-    if (const auto out = args.get("out")) {
-      write_csv_file(*out, core::front_to_csv(fmea, {*deployment}));
-      std::printf("deployment written to %s\n", out->c_str());
-    }
-    if (const auto json_out = args.get("json")) {
-      std::ofstream file(*json_out, std::ios::binary);
-      if (!file) throw IoError("cannot write '" + *json_out + "'");
-      file << core::front_to_json(fmea, {*deployment});
-      std::printf("deployment written to %s\n", json_out->c_str());
-    }
+    write_search_outputs(out, json_out, "deployment", fmea, {*deployment},
+                         core::front_to_csv(fmea, {*deployment}));
     return 0;
   }
 
-  // Default (and --pareto): the exact (cost, SPFM) Pareto front.
-  core::ParetoOptions options;
-  if (const auto jobs = args.get("jobs")) {
-    options.jobs = static_cast<int>(parse_int(*jobs));
-    if (options.jobs < 0) {
-      std::fprintf(stderr, "error: --jobs must be >= 0 (0 = all cores)\n");
-      return 2;
+  if (objective == "lfm") {
+    const auto tree = fta::synthesize_fault_tree_zbdd(model, component);
+    const auto lfm = fta::classify_latent(model, tree, fmea);
+    if (!lfm.has_multi_point()) {
+      std::printf("no multi-point faults: the LFM objective has nothing to optimise\n");
+      return 0;
     }
+    options.row_weights = fta::lfm_row_weights(lfm);
   }
-  if (const auto epsilon = args.get("epsilon")) options.epsilon = parse_double(*epsilon);
-  options.row_weights = lfm_weights;
+  // Default (and --pareto): the exact (cost, SPFM) Pareto front.
   const auto front = core::pareto_front(fmea, catalogue, options);
   const CsvTable table = core::front_to_csv(
       fmea, front,
       objective == "lfm" ? core::ParetoMetric::Lfm : core::ParetoMetric::Spfm);
   std::printf("%s", write_csv(table).c_str());
   std::printf("front: %zu deployment(s)\n", front.size());
-  if (const auto out = args.get("out")) {
-    write_csv_file(*out, table);
-    std::printf("front written to %s\n", out->c_str());
-  }
-  if (const auto json_out = args.get("json")) {
-    std::ofstream file(*json_out, std::ios::binary);
-    if (!file) throw IoError("cannot write '" + *json_out + "'");
-    file << core::front_to_json(fmea, front);
-    std::printf("front written to %s\n", json_out->c_str());
+  write_search_outputs(out, json_out, "front", fmea, front, table);
+  return 0;
+}
+
+/// The FMEDA epilogue of a circuit campaign, shared by `fmea` and
+/// `merge-journals`: a merged result must be indistinguishable from what an
+/// unsharded `same fmea` run would have printed and written.
+int report_campaign(const core::FmedaResult& result, const std::optional<std::string>& out) {
+  std::printf("%s\n", result.to_text().render().c_str());
+  for (const auto& warning : result.warnings) std::printf("note: %s\n", warning.c_str());
+  std::printf("\ncampaign: %s\n", result.outcome_summary().c_str());
+  std::printf("SPFM = %s  ->  %s\n", format_percent(result.spfm()).c_str(),
+              core::achieved_asil(result.spfm()).c_str());
+  if (out.has_value()) {
+    write_csv_file(*out, result.to_csv());
+    std::printf("FMEDA written to %s\n", out->c_str());
   }
   return 0;
 }
 
 int cmd_fmea(const Args& args) {
   if (args.positional.empty()) return usage();
-  const auto reliability_location = args.get("reliability");
-  if (!reliability_location.has_value()) {
-    std::fprintf(stderr, "error: --reliability <workbook-dir> is required\n");
-    return 2;
-  }
-
-  const auto mdl = drivers::parse_mdl_file(args.positional[0]);
-  const auto built = sim::build_circuit(mdl);
-  const auto workbook = drivers::DriverRegistry::global().open(*reliability_location);
-  const auto reliability = core::ReliabilityModel::from_source(*workbook, "Reliability");
-
-  std::optional<core::SafetyMechanismModel> sm_model;
-  if (args.has("sm-model")) {
-    sm_model = core::SafetyMechanismModel::from_source(*workbook, "SafetyMechanisms");
-  }
-
+  const std::string reliability_location = args.require("reliability", "<workbook-dir>");
   core::CircuitFmeaOptions options;
   if (const auto goals = args.get("goals")) {
     for (const auto& goal : split(*goals, ',')) {
@@ -516,52 +525,36 @@ int cmd_fmea(const Args& args) {
   if (const auto threshold = args.get("threshold")) {
     options.relative_threshold = parse_double(*threshold);
   }
-  if (const auto jobs = args.get("jobs")) {
-    options.jobs = static_cast<int>(parse_int(*jobs));
-    if (options.jobs < 0) {
-      std::fprintf(stderr, "error: --jobs must be >= 0 (0 = all cores)\n");
-      return 2;
-    }
-  }
-  if (const auto journal = args.get("journal")) {
-    if (*journal == "true") {
-      std::fprintf(stderr, "error: --journal requires a file path\n");
-      return 2;
-    }
-    options.execution.journal_path = *journal;
-  }
+  options.jobs = args.jobs(options.jobs);
+  options.execution.journal_path = args.get("journal").value_or("");
   if (const auto shard = args.get("shard")) {
     const auto slash = shard->find('/');
-    if (slash == std::string::npos) {
-      std::fprintf(stderr, "error: --shard expects i/N (e.g. --shard 0/4)\n");
-      return 2;
-    }
+    if (slash == std::string::npos) throw UsageError("--shard expects i/N (e.g. --shard 0/4)");
     options.execution.shard_index = static_cast<int>(parse_int(shard->substr(0, slash)));
     options.execution.shard_count = static_cast<int>(parse_int(shard->substr(slash + 1)));
     if (options.execution.shard_count < 1 || options.execution.shard_index < 0 ||
         options.execution.shard_index >= options.execution.shard_count) {
-      std::fprintf(stderr, "error: --shard i/N needs 0 <= i < N\n");
-      return 2;
+      throw UsageError("--shard i/N needs 0 <= i < N");
     }
   }
-  if (const auto retries = args.get("retries")) {
-    options.execution.max_retries = static_cast<int>(parse_int(*retries));
-    if (options.execution.max_retries < 0) {
-      std::fprintf(stderr, "error: --retries must be >= 0\n");
-      return 2;
-    }
+  if (const auto retries = args.count("retries")) {
+    options.execution.max_retries = static_cast<int>(*retries);
   }
   options.execution.best_effort = args.has("best-effort");
   options.solver.sparse = !args.has("no-sparse");
-  if (const auto heartbeat = args.get("heartbeat")) {
-    if (*heartbeat == "true") {
-      std::fprintf(stderr, "error: --heartbeat requires a file path\n");
-      return 2;
-    }
-    options.execution.heartbeat_path = *heartbeat;
-  }
+  options.execution.heartbeat_path = args.get("heartbeat").value_or("");
   if (const auto interval = args.get("heartbeat-interval")) {
     options.execution.heartbeat_interval_seconds = parse_double(*interval);
+  }
+  const auto out = args.get("out");
+
+  const auto mdl = drivers::parse_mdl_file(args.positional[0]);
+  const auto built = sim::build_circuit(mdl);
+  const auto workbook = drivers::DriverRegistry::global().open(reliability_location);
+  const auto reliability = core::ReliabilityModel::from_source(*workbook, "Reliability");
+  std::optional<core::SafetyMechanismModel> sm_model;
+  if (args.has("sm-model")) {
+    sm_model = core::SafetyMechanismModel::from_source(*workbook, "SafetyMechanisms");
   }
 
   core::FmedaResult result;
@@ -580,42 +573,18 @@ int cmd_fmea(const Args& args) {
                  error.what());
     return 4;
   }
-  std::printf("%s\n", result.to_text().render().c_str());
-  for (const auto& warning : result.warnings) std::printf("note: %s\n", warning.c_str());
-  std::printf("\ncampaign: %s\n", result.outcome_summary().c_str());
-  std::printf("SPFM = %s  ->  %s\n", format_percent(result.spfm()).c_str(),
-              core::achieved_asil(result.spfm()).c_str());
-  if (const auto out = args.get("out")) {
-    write_csv_file(*out, result.to_csv());
-    std::printf("FMEDA written to %s\n", out->c_str());
-  }
-  return 0;
+  return report_campaign(result, out);
 }
 
 int cmd_merge_journals(const Args& args) {
   if (args.positional.empty()) return usage();
-  // Same epilogue as cmd_fmea: the merged result must be indistinguishable
-  // from what an unsharded `same fmea` run would have printed and written.
-  const auto result = core::merge_campaign_journals(args.positional);
-  std::printf("%s\n", result.to_text().render().c_str());
-  for (const auto& warning : result.warnings) std::printf("note: %s\n", warning.c_str());
-  std::printf("\ncampaign: %s\n", result.outcome_summary().c_str());
-  std::printf("SPFM = %s  ->  %s\n", format_percent(result.spfm()).c_str(),
-              core::achieved_asil(result.spfm()).c_str());
-  if (const auto out = args.get("out")) {
-    write_csv_file(*out, result.to_csv());
-    std::printf("FMEDA written to %s\n", out->c_str());
-  }
-  return 0;
+  const auto out = args.get("out");
+  return report_campaign(core::merge_campaign_journals(args.positional), out);
 }
 
 int cmd_import(const Args& args) {
   if (args.positional.empty()) return usage();
-  const auto out = args.get("out");
-  if (!out.has_value()) {
-    std::fprintf(stderr, "error: --out <design.ssam> is required\n");
-    return 2;
-  }
+  const std::string out = args.require("out", "<design.ssam>");
   const auto mdl = drivers::parse_mdl_file(args.positional[0]);
   ssam::SsamModel model;
   const auto result = transform::simulink_to_ssam(mdl, model);
@@ -626,19 +595,15 @@ int cmd_import(const Args& args) {
     for (const auto& item : missing) std::fprintf(stderr, "LOSS: %s\n", item.c_str());
     return 1;
   }
-  model::save_xmi_file(*out, model.repo(), model.meta());
+  model::save_xmi_file(out, model.repo(), model.meta());
   std::printf("lossless; SSAM model (%zu elements) written to %s\n", model.size(),
-              out->c_str());
+              out.c_str());
   return 0;
 }
 
 int cmd_export(const Args& args) {
   if (args.positional.empty()) return usage();
-  const auto out = args.get("out");
-  if (!out.has_value()) {
-    std::fprintf(stderr, "error: --out <model.mdl> is required\n");
-    return 2;
-  }
+  const std::string out = args.require("out", "<model.mdl>");
   ssam::SsamModel model;
   model::load_xmi_file(model.repo(), model.meta(), args.positional[0]);
   // The import root: a Component tagged as the Model by the transformation.
@@ -659,8 +624,8 @@ int cmd_export(const Args& args) {
                  args.positional[0].c_str());
     return 1;
   }
-  drivers::write_mdl_file(*out, transform::ssam_to_simulink(model, root));
-  std::printf("regenerated model written to %s\n", out->c_str());
+  drivers::write_mdl_file(out, transform::ssam_to_simulink(model, root));
+  std::printf("regenerated model written to %s\n", out.c_str());
   return 0;
 }
 
@@ -692,12 +657,7 @@ int cmd_query(const Args& args) {
 int cmd_impact(const Args& args) {
   if (args.positional.size() < 2) return usage();
   ssam::SsamModel model;
-  model::load_xmi_file(model.repo(), model.meta(), args.positional[0]);
-  const auto component = model.find_by_name(ssam::cls::Component, args.positional[1]);
-  if (component == model::kNullObject) {
-    std::fprintf(stderr, "error: no component named '%s'\n", args.positional[1].c_str());
-    return 1;
-  }
+  const auto component = load_component(model, args.positional[0], args.positional[1]);
   const auto report = core::impact_of_change(model, component);
   std::printf("%s", report.to_text(model).c_str());
   return 0;
@@ -708,31 +668,17 @@ int cmd_session(const Args& args) {
   // The model can come positionally or via --model; either way a resident
   // model needs --component to name the analysis root.
   if (!args.positional.empty()) options.model_path = args.positional[0];
-  if (const auto model = args.get("model")) options.model_path = *model;
-  if (!options.model_path.empty()) {
-    const auto component = args.get("component");
-    if (!component.has_value()) {
-      std::fprintf(stderr, "error: --component <name> is required with a model path\n");
-      return 2;
-    }
-    options.component = *component;
-  }
-  if (const auto cache = args.get("cache")) options.cache_path = *cache;
-  if (const auto jobs = args.get("jobs")) {
-    options.analysis.jobs = static_cast<int>(parse_int(*jobs));
-    if (options.analysis.jobs < 0) {
-      std::fprintf(stderr, "error: --jobs must be >= 0 (0 = all cores)\n");
-      return 2;
-    }
-  }
+  options.model_path = args.get("model").value_or(options.model_path);
+  if (!options.model_path.empty()) options.component = args.require("component", "<name>");
+  options.cache_path = args.get("cache").value_or("");
+  options.analysis.jobs = args.jobs(options.analysis.jobs);
   return session::run_service(std::cin, std::cout, options);
 }
 
 int cmd_scalability(const Args& args) {
   if (args.positional.empty()) return usage();
-  const auto elements = static_cast<std::uint64_t>(parse_int(args.positional[0]));
-  const size_t budget =
-      static_cast<size_t>(parse_int(args.get("budget-mib").value_or("4096"))) * 1024 * 1024;
+  const std::uint64_t elements = cli_count(args.positional[0], "scalability <elements>");
+  const size_t budget = args.count("budget-mib").value_or(4096) * 1024 * 1024;
   const auto full = core::evaluate_full_load(elements, budget);
   if (full.loaded) {
     std::printf("full-load: %llu elements, %llu safety-related, total FIT %.0f, %.3f s\n",
@@ -750,25 +696,10 @@ int cmd_scalability(const Args& args) {
   return 0;
 }
 
-std::string read_file_or_throw(const std::string& path, const char* what) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError(std::string("cannot open ") + what + " '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 int cmd_check_trace(const Args& args) {
   if (args.positional.empty()) return usage();
   const std::string& path = args.positional[0];
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open trace file '%s'\n", path.c_str());
-    return 2;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string problem = obs::validate_chrome_trace(buffer.str());
+  const std::string problem = obs::validate_chrome_trace(read_whole_file(path, "trace file"));
   if (!problem.empty()) {
     std::fprintf(stderr, "invalid trace %s: %s\n", path.c_str(), problem.c_str());
     return 1;
@@ -803,7 +734,7 @@ int cmd_status(const Args& args) {
   std::vector<std::pair<std::string, obs::Heartbeat>> beats;
   for (const std::string& file : files) {
     try {
-      beats.emplace_back(file, obs::parse_heartbeat(read_file_or_throw(file, "heartbeat")));
+      beats.emplace_back(file, obs::parse_heartbeat(read_whole_file(file, "heartbeat")));
     } catch (const Error& error) {
       std::fprintf(stderr, "warning: skipping '%s': %s\n", file.c_str(), error.what());
     }
@@ -821,47 +752,40 @@ int cmd_status(const Args& args) {
   return view.dead_shards > 0 ? 3 : 0;
 }
 
-int cmd_merge_metrics(const Args& args) {
+/// The shared body of `merge-metrics` and `merge-traces`: reads every
+/// positional file, folds them with `merge`, and writes the result to --out
+/// (or stdout). `what` names the inputs in messages.
+int merge_files(const Args& args, const char* what,
+                const std::function<std::string(const std::vector<std::string>&)>& merge) {
   if (args.positional.empty()) return usage();
+  const auto out = args.get("out");
   std::vector<std::string> texts;
   for (const std::string& path : args.positional) {
-    texts.push_back(read_file_or_throw(path, "metrics snapshot"));
+    texts.push_back(read_whole_file(path, what));
   }
-  const std::string merged = obs::merge_registry_snapshots(texts);
-  if (const auto out = args.get("out")) {
-    std::ofstream file(*out, std::ios::binary);
-    if (!file) throw IoError("cannot write '" + *out + "'");
-    file << merged;
-    std::fprintf(stderr, "merged %zu snapshot(s) into %s\n", texts.size(), out->c_str());
+  const std::string merged = merge(texts);
+  if (out.has_value()) {
+    write_whole_file(*out, merged, "output file");
+    std::fprintf(stderr, "merged %zu %s(s) into %s\n", texts.size(), what, out->c_str());
   } else {
     std::printf("%s", merged.c_str());
   }
   return 0;
 }
 
+int cmd_merge_metrics(const Args& args) {
+  return merge_files(args, "snapshot", obs::merge_registry_snapshots);
+}
+
 int cmd_merge_traces(const Args& args) {
-  if (args.positional.empty()) return usage();
-  std::vector<std::string> texts;
-  for (const std::string& path : args.positional) {
-    texts.push_back(read_file_or_throw(path, "trace"));
-  }
-  const std::string merged = obs::merge_chrome_traces(texts);
-  // The merge must itself be a valid trace — check before anyone ships it
-  // to a viewer, mirroring `same check-trace`.
-  const std::string problem = obs::validate_chrome_trace(merged);
-  if (!problem.empty()) {
-    std::fprintf(stderr, "error: merged trace is invalid: %s\n", problem.c_str());
-    return 1;
-  }
-  if (const auto out = args.get("out")) {
-    std::ofstream file(*out, std::ios::binary);
-    if (!file) throw IoError("cannot write '" + *out + "'");
-    file << merged;
-    std::fprintf(stderr, "merged %zu trace(s) into %s\n", texts.size(), out->c_str());
-  } else {
-    std::printf("%s", merged.c_str());
-  }
-  return 0;
+  return merge_files(args, "trace", [](const std::vector<std::string>& texts) {
+    std::string merged = obs::merge_chrome_traces(texts);
+    // The merge must itself be a valid trace — check before anyone ships it
+    // to a viewer, mirroring `same check-trace`.
+    const std::string problem = obs::validate_chrome_trace(merged);
+    if (!problem.empty()) throw ParseError("merged trace is invalid: " + problem);
+    return merged;
+  });
 }
 
 int dispatch(const std::string& command, const Args& args) {
@@ -893,10 +817,25 @@ int dispatch(const std::string& command, const Args& args) {
   return usage();
 }
 
+/// Runs one step of the command: a usage error exits 2, a library error 1.
+int guarded(const std::function<int()>& step) {
+  try {
+    return step();
+  } catch (const UsageError& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 2;
+  } catch (const Error& error) {
+    std::fprintf(stderr, "same: %s\n", error.what());
+    return 1;
+  }
+}
+
 /// The observability epilogue, shared by every subcommand. Both artefacts go
 /// to stderr/side files so stdout (tables, CSVs, session replies) stays
-/// byte-identical with instrumentation on or off.
-int finish_instrumentation(const Args& args, const std::optional<std::string>& trace_path) {
+/// byte-identical with instrumentation on or off. `--metrics` alone dumps
+/// to stderr.
+void finish_instrumentation(const Args& args, const std::optional<std::string>& trace_path,
+                            const std::optional<std::string>& snapshot_path) {
   if (trace_path.has_value()) {
     auto& collector = obs::TraceCollector::global();
     collector.disable();
@@ -904,25 +843,20 @@ int finish_instrumentation(const Args& args, const std::optional<std::string>& t
     std::fprintf(stderr, "trace: %zu events written to %s\n", collector.event_count(),
                  trace_path->c_str());
   }
-  if (const auto metrics = args.get("metrics")) {
+  if (const auto metrics = args.options.find("metrics"); metrics != args.options.end()) {
     const std::string text = obs::Registry::global().to_prometheus();
-    if (*metrics == "true") {
+    if (!metrics->second.has_value()) {
       std::fputs(text.c_str(), stderr);
     } else {
-      std::ofstream out(*metrics, std::ios::binary);
-      if (!out) throw IoError("cannot write metrics file '" + *metrics + "'");
-      out << text;
-      std::fprintf(stderr, "metrics written to %s\n", metrics->c_str());
+      write_whole_file(*metrics->second, text, "metrics file");
+      std::fprintf(stderr, "metrics written to %s\n", metrics->second->c_str());
     }
   }
-  if (const auto snapshot = args.get("metrics-json")) {
-    if (*snapshot == "true") throw IoError("--metrics-json requires an output path");
-    std::ofstream out(*snapshot, std::ios::binary);
-    if (!out) throw IoError("cannot write metrics snapshot '" + *snapshot + "'");
-    out << obs::registry_snapshot_json(obs::Registry::global());
-    std::fprintf(stderr, "metrics snapshot written to %s\n", snapshot->c_str());
+  if (snapshot_path.has_value()) {
+    write_whole_file(*snapshot_path, obs::registry_snapshot_json(obs::Registry::global()),
+                     "metrics snapshot");
+    std::fprintf(stderr, "metrics snapshot written to %s\n", snapshot_path->c_str());
   }
-  return 0;
 }
 
 }  // namespace
@@ -931,26 +865,21 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const Args args = parse_args(argc, argv, 2);
-  const auto trace_path = args.get("trace");
-  if (trace_path.has_value()) {
-    if (*trace_path == "true") {
-      std::fprintf(stderr, "error: --trace requires an output path\n");
-      return 2;
-    }
-    obs::TraceCollector::global().enable();
-  }
-  int rc;
-  try {
-    rc = dispatch(command, args);
-  } catch (const Error& error) {
-    std::fprintf(stderr, "same: %s\n", error.what());
-    rc = 1;
-  }
-  try {
-    finish_instrumentation(args, trace_path);
-  } catch (const Error& error) {
-    std::fprintf(stderr, "same: %s\n", error.what());
-    if (rc == 0) rc = 1;
-  }
-  return rc;
+  // The global flags are checked before any work, so a valueless --trace or
+  // --metrics-json fails up front instead of after a long campaign.
+  std::optional<std::string> trace_path;
+  std::optional<std::string> snapshot_path;
+  const int flags_rc = guarded([&] {
+    trace_path = args.get("trace");
+    snapshot_path = args.get("metrics-json");
+    return 0;
+  });
+  if (flags_rc != 0) return flags_rc;
+  if (trace_path.has_value()) obs::TraceCollector::global().enable();
+  const int rc = guarded([&] { return dispatch(command, args); });
+  const int finish_rc = guarded([&] {
+    finish_instrumentation(args, trace_path, snapshot_path);
+    return 0;
+  });
+  return rc != 0 ? rc : finish_rc;
 }
