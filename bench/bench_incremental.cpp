@@ -4,21 +4,29 @@
 // engineer holds one model open and alternates small edits with full
 // re-analyses. The harness verifies up front that (a) a scripted 100-edit
 // loop over one resident session stays byte-identical to a cold run at
-// every step, and (b) a single-component edit on the Table-VI-scale subject
-// replays >90% of the units from the fingerprint cache; then it times the
-// cold run, the incremental re-analysis after one edit, the no-op
-// re-analysis (subtree short-circuit), and the fingerprint pass itself.
+// every step, (b) a single-component edit on the Table-VI-scale subject
+// replays >90% of the units from the fingerprint cache, (c) a one-leaf edit
+// at /96 re-analyses at least 5x faster than a cold run (medians of
+// alternating in-process repetitions, so the gate is a same-machine ratio),
+// and (d) a no-op re-analysis runs no full fingerprint pass and emits no
+// rows (counters, not timings). Then it times the cold run, the incremental
+// re-analysis after one edit, the no-op re-analysis (edit-log
+// short-circuit), and the full fingerprint pass itself.
 #include <benchmark/benchmark.h>
 
 #include "obs_bench.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "decisive/base/csv.hpp"
 #include "decisive/core/graph_fmea.hpp"
 #include "decisive/core/synthetic.hpp"
+#include "decisive/obs/registry.hpp"
 #include "decisive/session/fingerprint.hpp"
 #include "decisive/session/incremental.hpp"
 
@@ -59,6 +67,58 @@ void verify_edit_loop() {
   std::printf("verified: 100-edit loop byte-identical to cold runs, hit rate %.1f%%\n",
               hit_rate * 100.0);
   if (hit_rate <= 0.9) throw std::runtime_error("cache hit rate regressed below 90%");
+}
+
+double median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const size_t mid = samples.size() / 2;
+  return samples.size() % 2 == 1 ? samples[mid] : (samples[mid - 1] + samples[mid]) / 2.0;
+}
+
+template <typename F>
+double seconds_of(F&& work) {
+  const auto start = std::chrono::steady_clock::now();
+  work();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+/// The O(edit) gates at /96: a one-leaf edit against a cold run, as a ratio
+/// of medians over alternating repetitions in this process, and a no-op
+/// re-analysis read from counters.
+void verify_turn_costs() {
+  constexpr int kRepetitions = 15;
+  constexpr double kMinSpeedup = 5.0;
+  auto sys = core::make_scaled_architecture(kComposites, 96);
+  session::AnalysisSession session(*sys.model, sys.system);
+  session.reanalyze();
+  const ObjectId leaf = sys.model->find_by_name(ssam::cls::Component, "Unit20.Leaf3");
+
+  std::vector<double> cold;
+  std::vector<double> edit;
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    cold.push_back(seconds_of([&] { benchmark::DoNotOptimize(session.cold_analyze()); }));
+    sys.model->obj(leaf).set_real("fit", 200.0 + rep);
+    session.note_edit(leaf);
+    edit.push_back(seconds_of([&] { benchmark::DoNotOptimize(session.reanalyze()); }));
+  }
+  const double speedup = median(cold) / median(edit);
+  std::printf("verified: one-leaf edit at /96 %.1fx faster than cold (median %.2f ms vs %.2f ms)\n",
+              speedup, median(edit) * 1e3, median(cold) * 1e3);
+  if (speedup < kMinSpeedup) {
+    throw std::runtime_error("one-leaf edit at /96 is only " + std::to_string(speedup) +
+                             "x faster than a cold run (gate: 5x)");
+  }
+
+  auto& registry = obs::Registry::global();
+  auto& passes = registry.counter("decisive_session_full_fingerprint_passes_total");
+  auto& emitted = registry.counter("decisive_graph_fmea_emitted_rows_total");
+  const auto passes_before = passes.value();
+  const auto emitted_before = emitted.value();
+  for (int rep = 0; rep < kRepetitions; ++rep) session.reanalyze();
+  if (passes.value() != passes_before || emitted.value() != emitted_before) {
+    throw std::runtime_error("a no-op re-analysis ran a full fingerprint pass or emitted rows");
+  }
+  std::printf("verified: no-op re-analysis runs no full fingerprint pass and emits no rows\n");
 }
 
 void BM_ColdAnalysis(benchmark::State& state) {
@@ -120,5 +180,6 @@ BENCHMARK(BM_FingerprintPass)->Arg(16)->Arg(96)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   verify_edit_loop();
+  verify_turn_costs();
   return bench_obs::run_benchmarks(argc, argv, "incremental");
 }

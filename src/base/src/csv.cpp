@@ -1,5 +1,7 @@
 #include "decisive/base/csv.hpp"
 
+#include <algorithm>
+
 #include "decisive/base/error.hpp"
 #include "decisive/base/persist.hpp"
 #include "decisive/base/strings.hpp"
@@ -99,32 +101,50 @@ CsvTable read_csv_file(const std::string& path, char sep) {
 }
 
 namespace {
-std::string quote_if_needed(const std::string& cell, char sep) {
-  const bool needs =
-      cell.find(sep) != std::string::npos || cell.find('"') != std::string::npos ||
-      cell.find('\n') != std::string::npos || cell.find('\r') != std::string::npos;
-  if (!needs) return cell;
-  std::string out = "\"";
-  for (char c : cell) {
+
+/// Appends one cell, quoted (with doubled quotes) only when it holds the
+/// separator, a quote or a line break.
+void append_cell(std::string& out, const std::string& cell, char sep) {
+  const bool plain = std::none_of(cell.begin(), cell.end(), [sep](char c) {
+    return c == sep || c == '"' || c == '\n' || c == '\r';
+  });
+  if (plain) {
+    out += cell;
+    return;
+  }
+  out += '"';
+  for (const char c : cell) {
     if (c == '"') out += '"';
     out += c;
   }
   out += '"';
-  return out;
 }
+
+void append_row(std::string& out, const std::vector<std::string>& row, char sep) {
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (i != 0) out += sep;
+    append_cell(out, row[i], sep);
+  }
+  out += '\n';
+}
+
+size_t row_bytes(const std::vector<std::string>& row) {
+  size_t bytes = row.size();  // separators plus the newline
+  for (const auto& cell : row) bytes += cell.size();
+  return bytes;
+}
+
 }  // namespace
 
 std::string write_csv(const CsvTable& table, char sep) {
+  // One sizing pass so the output grows once; quoting adds a few bytes at
+  // most, which the final append absorbs.
+  size_t bytes = row_bytes(table.header);
+  for (const auto& row : table.rows) bytes += row_bytes(row);
   std::string out;
-  auto write_row = [&](const std::vector<std::string>& row) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i != 0) out += sep;
-      out += quote_if_needed(row[i], sep);
-    }
-    out += '\n';
-  };
-  write_row(table.header);
-  for (const auto& row : table.rows) write_row(row);
+  out.reserve(bytes);
+  append_row(out, table.header, sep);
+  for (const auto& row : table.rows) append_row(out, row, sep);
   return out;
 }
 

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 #include "decisive/base/error.hpp"
 
@@ -106,24 +105,46 @@ bool parse_bool(std::string_view text) {
   throw ParseError("expected a boolean, got '" + std::string(text) + "'");
 }
 
+namespace {
+
+/// Appends `value` as printf's "%.*f" would render it, at any magnitude: a
+/// finite double can need 309 integer digits, so a fixed-size buffer is only
+/// the first try. A negative precision means 6, as it does for printf.
+void append_fixed(std::string& out, double value, int decimals) {
+  if (decimals < 0) decimals = 6;
+  char buffer[384];
+  const auto fixed = std::to_chars(buffer, buffer + sizeof buffer, value,
+                                   std::chars_format::fixed, decimals);
+  if (fixed.ec == std::errc()) {
+    out.append(buffer, fixed.ptr);
+    return;
+  }
+  std::string wide(static_cast<size_t>(decimals) + 320, '\0');
+  const auto exact = std::to_chars(wide.data(), wide.data() + wide.size(), value,
+                                   std::chars_format::fixed, decimals);
+  out.append(wide.data(), exact.ptr);
+}
+
+}  // namespace
+
 std::string format_number(double value, int max_decimals) {
   if (std::isnan(value)) return "nan";
   if (std::isinf(value)) return value > 0 ? "inf" : "-inf";
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", max_decimals, value);
-  std::string out(buffer);
+  std::string out;
+  append_fixed(out, value, max_decimals);
   if (out.find('.') != std::string::npos) {
-    while (!out.empty() && out.back() == '0') out.pop_back();
-    if (!out.empty() && out.back() == '.') out.pop_back();
+    while (out.back() == '0') out.pop_back();
+    if (out.back() == '.') out.pop_back();
   }
   if (out == "-0") out = "0";
   return out;
 }
 
 std::string format_percent(double fraction, int decimals) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f%%", decimals, fraction * 100.0);
-  return std::string(buffer);
+  std::string out;
+  append_fixed(out, fraction * 100.0, decimals);
+  out += '%';
+  return out;
 }
 
 }  // namespace decisive

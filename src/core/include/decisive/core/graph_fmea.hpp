@@ -108,6 +108,23 @@ struct GraphFmeaStats {
   }
 };
 
+/// Where every sub record of one emitted FMEDA landed, in emission order.
+/// analyze_component fills it on request; reanalyze_component reads and
+/// updates it, so a caller that keeps its last result re-emits only the
+/// units whose inputs changed.
+struct EmitLayout {
+  /// One (unit, subcomponent) record: the unit's index in `units`, the
+  /// subcomponent, and the end offsets of its rows and warnings.
+  struct Slot {
+    size_t unit = 0;
+    ssam::ObjectId sub = model::kNullObject;
+    size_t rows_end = 0;
+    size_t warnings_end = 0;
+  };
+  std::vector<ssam::ObjectId> units;  ///< analysis units in walk pre-order
+  std::vector<Slot> slots;            ///< every sub record, in emission order
+};
+
 /// Runs Algorithm 1 on `component` (a composite SSAM Component). Mutates the
 /// model: failure modes get their `safetyRelated` verdict and a
 /// FailureEffect. Throws AnalysisError when the component has no boundary
@@ -116,9 +133,26 @@ struct GraphFmeaStats {
 /// `cache` (optional) serves per-unit results across runs — see
 /// UnitResultCache; the output is byte-identical with or without it as long
 /// as the cache only returns records valid for the current model state.
-/// `stats` (optional) receives per-phase timings and hit counts.
+/// `stats` (optional) receives per-phase timings and hit counts. `layout`
+/// (optional) receives where each sub record landed in the result.
 FmedaResult analyze_component(ssam::SsamModel& ssam, ssam::ObjectId component,
                               const GraphFmeaOptions& options = {},
-                              UnitResultCache* cache = nullptr, GraphFmeaStats* stats = nullptr);
+                              UnitResultCache* cache = nullptr, GraphFmeaStats* stats = nullptr,
+                              EmitLayout* layout = nullptr);
+
+/// analyze_component for a caller that keeps its last result: `result` and
+/// `layout` must be the output of this caller's previous run on this model,
+/// with every write-back of that run still in place. A unit the cache serves
+/// is taken as unchanged since that run — its rows and warnings stay where
+/// they are and its write-backs are not repeated — so the cache must decline
+/// every unit whose record may have changed. Only the declined units are
+/// analysed, emitted, written back and spliced in, in walk order. When the
+/// unit list, or the subcomponents of a declined unit, differ from the
+/// layout, this falls back to the full walk. The result is byte-identical to
+/// analyze_component on the same model state either way.
+void reanalyze_component(ssam::SsamModel& ssam, ssam::ObjectId component,
+                         const GraphFmeaOptions& options, UnitResultCache& cache,
+                         FmedaResult& result, EmitLayout& layout,
+                         GraphFmeaStats* stats = nullptr);
 
 }  // namespace decisive::core

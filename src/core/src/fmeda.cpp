@@ -159,14 +159,23 @@ CsvTable FmedaResult::to_csv() const {
                   "Safety_Mechanism", "SM_Coverage", "Mode_FIT",
                   "Single_Point_FIT", "Effect", "Fault_Outcome",
                   "Outcome_Detail"};
+  table.rows.reserve(rows.size());
   for (const auto& row : rows) {
-    table.rows.push_back({row.component, row.component_type, format_number(row.fit),
-                          row.safety_related ? "Yes" : "No", row.failure_mode,
-                          format_number(row.distribution, 6), row.safety_mechanism,
-                          format_number(row.sm_coverage, 6), format_number(row.mode_fit(), 6),
-                          format_number(row.single_point_fit(), 6),
-                          std::string(to_string(row.effect)),
-                          std::string(to_string(row.outcome)), row.outcome_detail});
+    auto& cells = table.rows.emplace_back();
+    cells.reserve(table.header.size());
+    cells.emplace_back(row.component);
+    cells.emplace_back(row.component_type);
+    cells.emplace_back(format_number(row.fit));
+    cells.emplace_back(row.safety_related ? "Yes" : "No");
+    cells.emplace_back(row.failure_mode);
+    cells.emplace_back(format_number(row.distribution, 6));
+    cells.emplace_back(row.safety_mechanism);
+    cells.emplace_back(format_number(row.sm_coverage, 6));
+    cells.emplace_back(format_number(row.mode_fit(), 6));
+    cells.emplace_back(format_number(row.single_point_fit(), 6));
+    cells.emplace_back(to_string(row.effect));
+    cells.emplace_back(to_string(row.outcome));
+    cells.emplace_back(row.outcome_detail);
   }
   return table;
 }

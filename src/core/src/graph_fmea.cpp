@@ -30,6 +30,7 @@ struct GraphFmeaMetrics {
   obs::Counter& units;
   obs::Counter& cache_hits;
   obs::Counter& cache_misses;
+  obs::Counter& emitted_rows;
   obs::Histogram& collect_seconds;
   obs::Histogram& analyze_seconds;
   obs::Histogram& emit_seconds;
@@ -42,6 +43,7 @@ struct GraphFmeaMetrics {
         registry.counter("decisive_graph_fmea_units_total"),
         registry.counter("decisive_graph_fmea_unit_cache_hits_total"),
         registry.counter("decisive_graph_fmea_unit_cache_misses_total"),
+        registry.counter("decisive_graph_fmea_emitted_rows_total"),
         registry.histogram("decisive_graph_fmea_collect_seconds"),
         registry.histogram("decisive_graph_fmea_analyze_seconds"),
         registry.histogram("decisive_graph_fmea_emit_seconds"),
@@ -266,16 +268,37 @@ UnitSubRecord produce_sub_record(const SsamModel& ssam, const Unit& unit,
   return record;
 }
 
-/// Applies one sub record: appends its rows/warnings to the result and
-/// writes the verdicts back into the model (component safety analysis model,
-/// Step 4a output). Both the fresh and the cached path funnel through here,
-/// which is what makes incremental output byte-identical by construction.
-void apply_sub_record(SsamModel& ssam, const UnitSubRecord& record, FmedaResult& result) {
-  result.rows.insert(result.rows.end(), record.rows.begin(), record.rows.end());
-  result.warnings.insert(result.warnings.end(), record.warnings.begin(), record.warnings.end());
+/// Writes one sub record's verdicts back into the model (component safety
+/// analysis model, Step 4a output).
+void write_back(SsamModel& ssam, const UnitSubRecord& record) {
   for (const UnitVerdict& verdict : record.verdicts) {
     ssam.obj(verdict.failure_mode).set_bool("safetyRelated", verdict.safety_related);
     attach_effect(ssam, verdict.failure_mode, verdict.effect);
+  }
+}
+
+/// Applies one sub record: appends its rows/warnings to the result and
+/// writes the verdicts back. Fresh, cached and spliced records all funnel
+/// through the same record type, which is what makes incremental output
+/// byte-identical by construction.
+void apply_sub_record(SsamModel& ssam, const UnitSubRecord& record, FmedaResult& result) {
+  result.rows.insert(result.rows.end(), record.rows.begin(), record.rows.end());
+  result.warnings.insert(result.warnings.end(), record.warnings.begin(), record.warnings.end());
+  write_back(ssam, record);
+}
+
+/// Replaces `count` items of `items` at `pos` with `replacement`.
+template <typename T>
+void splice_range(std::vector<T>& items, size_t pos, size_t count,
+                  const std::vector<T>& replacement) {
+  const size_t common = std::min(count, replacement.size());
+  std::copy_n(replacement.begin(), common, items.begin() + static_cast<std::ptrdiff_t>(pos));
+  const auto tail = items.begin() + static_cast<std::ptrdiff_t>(pos + common);
+  if (replacement.size() > count) {
+    items.insert(tail, replacement.begin() + static_cast<std::ptrdiff_t>(common),
+                 replacement.end());
+  } else {
+    items.erase(tail, tail + static_cast<std::ptrdiff_t>(count - common));
   }
 }
 
@@ -283,71 +306,92 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-}  // namespace
+/// The records of one run: the units, which of them the cache serves, their
+/// analyses, and the fresh records produced so far.
+struct RunState {
+  std::vector<Unit> units;
+  std::vector<const UnitRecord*> cached;  ///< nullptr: analysed fresh
+  std::vector<UnitAnalysis> analyses;
+  std::vector<UnitRecord> fresh;  ///< fresh sub records, per unit, in sub order
 
-FmedaResult analyze_component(SsamModel& ssam, ObjectId component,
-                              const GraphFmeaOptions& options, UnitResultCache* cache,
-                              GraphFmeaStats* stats) {
+  /// The record of the `sub_i`-th subcomponent of a fresh unit, produced on
+  /// first use.
+  const UnitSubRecord& fresh_record(const SsamModel& ssam, size_t unit_i, size_t sub_i,
+                                    ObjectId sub, const GraphFmeaOptions& options) {
+    auto& subs = fresh[unit_i].subs;
+    if (sub_i == subs.size()) {
+      subs.push_back(produce_sub_record(ssam, units[unit_i], *analyses[unit_i].analysis, sub,
+                                        options));
+    }
+    return subs[sub_i];
+  }
+};
+
+/// Phases A and B: collect the units, ask the cache which it serves, and
+/// analyse the rest. Touches neither the result nor the model.
+RunState prepare_run(const SsamModel& ssam, ObjectId component, const GraphFmeaOptions& options,
+                     UnitResultCache* cache, GraphFmeaStats* stats) {
   GraphFmeaMetrics& metrics = GraphFmeaMetrics::get();
   metrics.runs.add();
-  FmedaResult result;
-  result.system = ssam.obj(component).get_string("name");
+  RunState run;
 
-  // Phase A: enumerate the composite components the walk will visit, and ask
-  // the cache which of them it can replay.
   const auto collect_start = std::chrono::steady_clock::now();
-  std::vector<Unit> units;
-  std::vector<const UnitRecord*> cached;
   {
     obs::Span collect_span("graph_fmea.collect", &metrics.collect_seconds);
-    units = collect_units(ssam, component);
-    cached.assign(units.size(), nullptr);
+    run.units = collect_units(ssam, component);
+    run.cached.assign(run.units.size(), nullptr);
     if (cache != nullptr) {
-      for (size_t i = 0; i < units.size(); ++i) {
-        cached[i] = cache->lookup(units[i].component, units[i].path);
+      for (size_t i = 0; i < run.units.size(); ++i) {
+        run.cached[i] = cache->lookup(run.units[i].component, run.units[i].path);
       }
     }
   }
   size_t hit_count = 0;
-  for (const auto* record : cached) hit_count += record != nullptr ? 1 : 0;
-  metrics.units.add(units.size());
+  for (const auto* record : run.cached) hit_count += record != nullptr ? 1 : 0;
+  metrics.units.add(run.units.size());
   metrics.cache_hits.add(hit_count);
-  metrics.cache_misses.add(units.size() - hit_count);
+  metrics.cache_misses.add(run.units.size() - hit_count);
   if (stats != nullptr) {
-    stats->units = units.size();
+    stats->units = run.units.size();
     stats->cache_hits = hit_count;
-    stats->cache_misses = units.size() - hit_count;
+    stats->cache_misses = run.units.size() - hit_count;
     stats->collect_seconds = seconds_since(collect_start);
   }
 
-  // Phase B: per-unit single-point analyses (parallel, const model reads) —
-  // cache hits skip the phase entirely, which is where the incremental
-  // speed-up comes from.
+  // Per-unit single-point analyses (parallel, const model reads) — cache
+  // hits skip the phase entirely, which is where the incremental speed-up
+  // comes from.
   const auto analyze_start = std::chrono::steady_clock::now();
-  std::vector<UnitAnalysis> analyses;
   {
     obs::Span analyze_span("graph_fmea.analyze", &metrics.analyze_seconds);
-    analyses = analyze_units(ssam, units, options, cached);
+    run.analyses = analyze_units(ssam, run.units, options, run.cached);
   }
   if (stats != nullptr) stats->analyze_seconds = seconds_since(analyze_start);
-  std::map<ObjectId, size_t> unit_index;
-  for (size_t i = 0; i < units.size(); ++i) unit_index[units[i].component] = i;
+  run.fresh.resize(run.units.size());
+  return run;
+}
 
-  // Phase C (serial): replay the recursive walk of Algorithm 1 with an
-  // explicit stack, emitting rows/warnings and mutating the model in the
-  // exact order the old recursion used — deterministic for any job count and
-  // any cache-hit pattern.
-  const auto emit_start = std::chrono::steady_clock::now();
-  obs::Span emit_span("graph_fmea.emit", &metrics.emit_seconds);
-  std::vector<UnitRecord> fresh(units.size());  ///< records under construction
+/// Phase C, full walk: replays the recursive walk of Algorithm 1 with an
+/// explicit stack, emitting rows/warnings and mutating the model in the exact
+/// order the old recursion used — deterministic for any job count and any
+/// cache-hit pattern. Records where every sub record landed in `layout`.
+size_t emit_walk(SsamModel& ssam, RunState& run, const GraphFmeaOptions& options,
+                 FmedaResult& result, EmitLayout* layout) {
+  std::map<ObjectId, size_t> unit_index;
+  for (size_t i = 0; i < run.units.size(); ++i) unit_index[run.units[i].component] = i;
+  if (layout != nullptr) {
+    layout->units.clear();
+    for (const Unit& unit : run.units) layout->units.push_back(unit.component);
+    layout->slots.clear();
+  }
   struct Frame {
     size_t unit;
     std::vector<ObjectId> subs;  ///< copied: write-backs create repo objects
     size_t next = 0;
   };
   std::vector<Frame> stack;
-  if (!units.empty()) {
-    stack.push_back({0, ssam.obj(units[0].component).refs("subcomponents"), 0});
+  if (!run.units.empty()) {
+    stack.push_back({0, ssam.obj(run.units[0].component).refs("subcomponents"), 0});
   }
   while (!stack.empty()) {
     Frame& frame = stack.back();
@@ -358,17 +402,18 @@ FmedaResult analyze_component(SsamModel& ssam, ObjectId component,
     const size_t unit_i = frame.unit;
     const size_t sub_i = frame.next;
     const ObjectId sub = frame.subs[frame.next++];
-    if (cached[unit_i] != nullptr) {
-      const UnitRecord& record = *cached[unit_i];
+    if (run.cached[unit_i] != nullptr) {
+      const UnitRecord& record = *run.cached[unit_i];
       if (sub_i >= record.subs.size() || record.subs[sub_i].sub != sub) {
-        throw AnalysisError("stale unit cache record for '" + units[unit_i].path +
+        throw AnalysisError("stale unit cache record for '" + run.units[unit_i].path +
                             "' — the cache returned a record for a different model state");
       }
       apply_sub_record(ssam, record.subs[sub_i], result);
     } else {
-      fresh[unit_i].subs.push_back(
-          produce_sub_record(ssam, units[unit_i], *analyses[unit_i].analysis, sub, options));
-      apply_sub_record(ssam, fresh[unit_i].subs.back(), result);
+      apply_sub_record(ssam, run.fresh_record(ssam, unit_i, sub_i, sub, options), result);
+    }
+    if (layout != nullptr) {
+      layout->slots.push_back({unit_i, sub, result.rows.size(), result.warnings.size()});
     }
 
     // Algorithm 1 line 14: repeat for composite subcomponents.
@@ -378,22 +423,130 @@ FmedaResult analyze_component(SsamModel& ssam, ObjectId component,
       stack.push_back({child, ssam.obj(sub).refs("subcomponents"), 0});
     }
   }
-  if (cache != nullptr) {
-    for (size_t i = 0; i < units.size(); ++i) {
-      if (cached[i] != nullptr) continue;
-      fresh[i].component = units[i].component;
-      fresh[i].path = units[i].path;
-      cache->store(std::move(fresh[i]));
+  return result.rows.size();
+}
+
+/// Phase C, splice: re-emits only the units the cache declined into the
+/// previous result, in walk order. Returns false, before touching anything,
+/// when the previous layout does not fit this run (the unit list or a
+/// declined unit's subcomponents changed); otherwise the number of rows
+/// emitted.
+std::optional<size_t> emit_splice(SsamModel& ssam, RunState& run,
+                                  const GraphFmeaOptions& options, FmedaResult& result,
+                                  EmitLayout& layout) {
+  if (run.units.empty() || layout.units.size() != run.units.size()) return std::nullopt;
+  for (size_t i = 0; i < run.units.size(); ++i) {
+    if (layout.units[i] != run.units[i].component) return std::nullopt;
+  }
+  // Produce every declined unit's records for its current subcomponents and
+  // check them against the slots they must fill.
+  for (size_t i = 0; i < run.units.size(); ++i) {
+    if (run.cached[i] != nullptr) continue;
+    const std::vector<ObjectId>& subs = ssam.obj(run.units[i].component).refs("subcomponents");
+    for (size_t sub_i = 0; sub_i < subs.size(); ++sub_i) {
+      run.fresh_record(ssam, i, sub_i, subs[sub_i], options);
+    }
+  }
+  std::vector<size_t> cursor(run.units.size(), 0);
+  for (const EmitLayout::Slot& slot : layout.slots) {
+    if (run.cached[slot.unit] != nullptr) continue;
+    const auto& subs = run.fresh[slot.unit].subs;
+    size_t& next = cursor[slot.unit];
+    if (next >= subs.size() || subs[next].sub != slot.sub) return std::nullopt;
+    ++next;
+  }
+  for (size_t i = 0; i < run.units.size(); ++i) {
+    if (run.cached[i] == nullptr && cursor[i] != run.fresh[i].subs.size()) return std::nullopt;
+  }
+
+  // The walk's warnings end at the last slot; the closing diagnostic after
+  // them is recomputed by the caller.
+  result.warnings.resize(layout.slots.back().warnings_end);
+  std::fill(cursor.begin(), cursor.end(), 0);
+  size_t emitted = 0;
+  std::ptrdiff_t row_shift = 0;
+  std::ptrdiff_t warning_shift = 0;
+  size_t old_rows_begin = 0;
+  size_t old_warnings_begin = 0;
+  for (EmitLayout::Slot& slot : layout.slots) {
+    const size_t old_rows_end = slot.rows_end;
+    const size_t old_warnings_end = slot.warnings_end;
+    if (run.cached[slot.unit] == nullptr) {
+      const UnitSubRecord& record = run.fresh[slot.unit].subs[cursor[slot.unit]++];
+      const size_t old_rows = old_rows_end - old_rows_begin;
+      const size_t old_warnings = old_warnings_end - old_warnings_begin;
+      splice_range(result.rows, old_rows_begin + static_cast<size_t>(row_shift), old_rows,
+                   record.rows);
+      splice_range(result.warnings, old_warnings_begin + static_cast<size_t>(warning_shift),
+                   old_warnings, record.warnings);
+      row_shift += static_cast<std::ptrdiff_t>(record.rows.size()) -
+                   static_cast<std::ptrdiff_t>(old_rows);
+      warning_shift += static_cast<std::ptrdiff_t>(record.warnings.size()) -
+                       static_cast<std::ptrdiff_t>(old_warnings);
+      write_back(ssam, record);
+      emitted += record.rows.size();
+    }
+    slot.rows_end = old_rows_end + static_cast<size_t>(row_shift);
+    slot.warnings_end = old_warnings_end + static_cast<size_t>(warning_shift);
+    old_rows_begin = old_rows_end;
+    old_warnings_begin = old_warnings_end;
+  }
+  return emitted;
+}
+
+/// Phase C and the epilogue shared by both entry points: emit (splicing into
+/// the previous result when `splice`), store the fresh records, and append
+/// the closing diagnostic.
+void finish_run(SsamModel& ssam, ObjectId component, RunState& run,
+                const GraphFmeaOptions& options, UnitResultCache* cache, FmedaResult& result,
+                EmitLayout* layout, bool splice, GraphFmeaStats* stats) {
+  GraphFmeaMetrics& metrics = GraphFmeaMetrics::get();
+  const auto emit_start = std::chrono::steady_clock::now();
+  {
+    obs::Span emit_span("graph_fmea.emit", &metrics.emit_seconds);
+    std::optional<size_t> emitted;
+    if (splice) emitted = emit_splice(ssam, run, options, result, *layout);
+    if (!emitted.has_value()) {
+      FmedaResult walked;
+      emitted = emit_walk(ssam, run, options, walked, layout);
+      result = std::move(walked);
+    }
+    metrics.emitted_rows.add(*emitted);
+    if (cache != nullptr) {
+      for (size_t i = 0; i < run.units.size(); ++i) {
+        if (run.cached[i] != nullptr) continue;
+        run.fresh[i].component = run.units[i].component;
+        run.fresh[i].path = run.units[i].path;
+        cache->store(std::move(run.fresh[i]));
+      }
     }
   }
   if (stats != nullptr) stats->emit_seconds = seconds_since(emit_start);
 
+  result.system = ssam.obj(component).get_string("name");
   if (!result.has_safety_related()) {
     result.warnings.push_back(
         "no safety-related hardware identified; the SPFM denominator is empty and spfm() "
         "reports 1.0 by convention — this is not an ASIL-D claim");
   }
+}
+
+}  // namespace
+
+FmedaResult analyze_component(SsamModel& ssam, ObjectId component,
+                              const GraphFmeaOptions& options, UnitResultCache* cache,
+                              GraphFmeaStats* stats, EmitLayout* layout) {
+  RunState run = prepare_run(ssam, component, options, cache, stats);
+  FmedaResult result;
+  finish_run(ssam, component, run, options, cache, result, layout, false, stats);
   return result;
+}
+
+void reanalyze_component(SsamModel& ssam, ObjectId component, const GraphFmeaOptions& options,
+                         UnitResultCache& cache, FmedaResult& result, EmitLayout& layout,
+                         GraphFmeaStats* stats) {
+  RunState run = prepare_run(ssam, component, options, &cache, stats);
+  finish_run(ssam, component, run, options, &cache, result, &layout, true, stats);
 }
 
 }  // namespace decisive::core

@@ -80,6 +80,11 @@ class FullLoadRepository {
   /// Collects objects of a kind (ids remain valid across mutation).
   [[nodiscard]] std::vector<ObjectId> all_of(const MetaClass& cls) const;
 
+  /// The first object (in creation order) satisfying `pred`, or kNullObject.
+  /// Stops at the first match.
+  [[nodiscard]] ObjectId find_first(
+      const std::function<bool(const ModelObject&)>& pred) const;
+
   /// Bulk-loads from a stream. Performs up-front admission control: if
   /// size_hint * bytes_per_element exceeds the budget the load is refused
   /// immediately with CapacityError (mimicking an OOM without thrashing).

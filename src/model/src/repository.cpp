@@ -61,6 +61,14 @@ void FullLoadRepository::for_each_of(const MetaClass& cls,
   }
 }
 
+ObjectId FullLoadRepository::find_first(
+    const std::function<bool(const ModelObject&)>& pred) const {
+  for (const auto& obj : objects_) {
+    if (pred(obj)) return obj.id();
+  }
+  return kNullObject;
+}
+
 std::vector<ObjectId> FullLoadRepository::all_of(const MetaClass& cls) const {
   std::vector<ObjectId> out;
   for (const auto& obj : objects_) {

@@ -11,8 +11,8 @@
 // The cache implements core::UnitResultCache, so analyze_component consults
 // it directly. Before each run it must be bound to the current model
 // snapshot (bind()): lookups resolve component → current fingerprint → entry
-// and refuse components in the forced-dirty set (the impact_of_change
-// widening computed by AnalysisSession).
+// and refuse the dirty units (the impact_of_change widening computed by
+// AnalysisSession, plus the units analysing a widened component).
 //
 // Persistence is a versioned, checksummed text format. Loading is
 // corruption-tolerant by construction: a bad magic line, version skew, a
@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -36,10 +37,9 @@ class ResultCache final : public core::UnitResultCache {
 
   /// Binds the cache to a model snapshot for the next analyze_component run:
   /// `fingerprints` maps components to their current unit fingerprints;
-  /// `forced_dirty` components (and units containing them) miss
-  /// unconditionally. Both pointers must outlive the run; pass nullptr to
-  /// unbind.
-  void bind(const ModelFingerprints* fingerprints, const std::set<ssam::ObjectId>* forced_dirty);
+  /// `dirty_units` miss unconditionally. Both pointers must outlive the run;
+  /// pass nullptr to unbind.
+  void bind(const ModelFingerprints* fingerprints, const std::set<ssam::ObjectId>* dirty_units);
 
   // -- core::UnitResultCache --------------------------------------------------
   [[nodiscard]] const core::UnitRecord* lookup(ssam::ObjectId component,
@@ -48,7 +48,13 @@ class ResultCache final : public core::UnitResultCache {
 
   // -- inspection -------------------------------------------------------------
   [[nodiscard]] size_t size() const noexcept { return entries_.size(); }
-  void clear() noexcept { entries_.clear(); }
+  void clear() noexcept {
+    entries_.clear();
+    ++generation_;
+  }
+  /// Moves whenever the entries are replaced wholesale (clear, load_file),
+  /// so a session can tell that its cache no longer holds what it stored.
+  [[nodiscard]] std::uint64_t generation() const noexcept { return generation_; }
 
   // -- persistence ------------------------------------------------------------
   struct LoadReport {
@@ -68,7 +74,8 @@ class ResultCache final : public core::UnitResultCache {
  private:
   std::map<Fingerprint, core::UnitRecord> entries_;
   const ModelFingerprints* fingerprints_ = nullptr;
-  const std::set<ssam::ObjectId>* forced_dirty_ = nullptr;
+  const std::set<ssam::ObjectId>* dirty_units_ = nullptr;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace decisive::session

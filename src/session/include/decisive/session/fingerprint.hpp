@@ -19,12 +19,22 @@
 // invalidates its own cache entries.
 //
 // A *subtree fingerprint* folds the unit fingerprint with all descendants'
-// (bottom-up, one model pass): equal subtree fingerprints at the analysis
-// root mean the whole re-analysis can be skipped.
+// (bottom-up): equal subtree fingerprints at the analysis root mean the
+// whole re-analysis can be skipped.
+//
+// fingerprint_model computes a snapshot in one full model pass.
+// refresh_fingerprints keeps a snapshot current after announced edits in
+// O(edit): it re-walks the subtree of each edited component and the unit of
+// its parent, refolds the subtree hashes up the ancestor chain and refreshes
+// the signal adjacency of what it re-walked. The result equals a fresh
+// fingerprint_model pass (unit and subtree maps) as long as every edit was
+// announced; AnalysisSession runs the full pass only on its first run, after
+// its cache is replaced, and when asked to verify.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -79,15 +89,23 @@ struct ModelFingerprints {
   /// root). Lets callers map an edited leaf to the unit whose analysis
   /// covers it.
   std::map<ssam::ObjectId, ssam::ObjectId> parent;
+  /// Direct subcomponents as last fingerprinted (absent for leaves), so a
+  /// refresh can tell which components left the subtree.
+  std::map<ssam::ObjectId, std::vector<ssam::ObjectId>> children;
   /// Qualified path from the analysis root, matching the paths graph-FMEA
   /// rows carry (root name, then "/"-joined component names).
   std::map<ssam::ObjectId, std::string> path;
   /// Signal adjacency within the subtree: components sharing a
-  /// ComponentRelationship endpoint, owner resolved during the same pass.
+  /// ComponentRelationship endpoint, one entry per linking relationship.
   /// This is the connected_components leg of core::impact_of_change,
   /// precomputed so dirty-set widening costs O(dirty) instead of a full
   /// repository scan per changed component.
   std::map<ssam::ObjectId, std::vector<ssam::ObjectId>> neighbours;
+  /// IONode -> owning component, and the owner pairs each component's
+  /// relationships link: what a refresh retracts from `neighbours` before
+  /// re-linking a re-walked component's wiring.
+  std::map<ssam::ObjectId, ssam::ObjectId> node_owner;
+  std::map<ssam::ObjectId, std::vector<std::pair<ssam::ObjectId, ssam::ObjectId>>> wiring;
 };
 
 /// Fingerprints every component in the containment subtree of `root` in one
@@ -96,6 +114,18 @@ struct ModelFingerprints {
 [[nodiscard]] ModelFingerprints fingerprint_model(const ssam::SsamModel& ssam,
                                                   ssam::ObjectId root,
                                                   const core::GraphFmeaOptions& options);
+
+/// Brings `fingerprints` (a fingerprint_model snapshot) up to date
+/// after edits to the `edited` components, in place. Each edited component
+/// must be in the snapshot (others are skipped); an edit is announced on the
+/// component whose own attributes, failure modes, safety mechanisms,
+/// IONodes, wiring or subcomponent list changed. Returns the components
+/// whose unit fingerprint changed — appeared, disappeared, or hashes
+/// differently — in ascending id order.
+std::vector<ssam::ObjectId> refresh_fingerprints(ModelFingerprints& fingerprints,
+                                                 const ssam::SsamModel& ssam,
+                                                 const core::GraphFmeaOptions& options,
+                                                 const std::set<ssam::ObjectId>& edited);
 
 /// Components whose unit fingerprint changed between two snapshots —
 /// appeared, disappeared, or hashes differently.

@@ -18,22 +18,14 @@ using ssam::ObjectId;
 // ---------------------------------------------------------------------------
 
 void ResultCache::bind(const ModelFingerprints* fingerprints,
-                       const std::set<ObjectId>* forced_dirty) {
+                       const std::set<ObjectId>* dirty_units) {
   fingerprints_ = fingerprints;
-  forced_dirty_ = forced_dirty;
+  dirty_units_ = dirty_units;
 }
 
 const UnitRecord* ResultCache::lookup(ObjectId component, const std::string& /*path*/) {
   if (fingerprints_ == nullptr) return nullptr;
-  if (forced_dirty_ != nullptr && !forced_dirty_->empty()) {
-    if (forced_dirty_->contains(component)) return nullptr;
-    // A unit's verdicts embed its direct subcomponents' failure surface, so
-    // a forced-dirty leaf invalidates the unit analysing it.
-    for (const ObjectId dirty : *forced_dirty_) {
-      const auto parent = fingerprints_->parent.find(dirty);
-      if (parent != fingerprints_->parent.end() && parent->second == component) return nullptr;
-    }
-  }
+  if (dirty_units_ != nullptr && dirty_units_->contains(component)) return nullptr;
   const auto fp = fingerprints_->unit.find(component);
   if (fp == fingerprints_->unit.end()) return nullptr;
   const auto entry = entries_.find(fp->second);
@@ -122,7 +114,7 @@ void ResultCache::save_file(const std::string& path) const {
 }
 
 ResultCache::LoadReport ResultCache::load_file(const std::string& path) {
-  entries_.clear();
+  clear();
   LoadReport report;
 
   if (!std::filesystem::exists(path)) {

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <optional>
 
 #include "decisive/base/error.hpp"
 
@@ -164,68 +166,231 @@ Fingerprint options_fingerprint(const core::GraphFmeaOptions& options) {
   return builder.finish();
 }
 
+/// Subtree hash of `component` from its unit hash and its children's subtree
+/// hashes; nullopt when a child is missing from the snapshot.
+std::optional<Fingerprint> fold_subtree(const SsamModel& ssam, const ModelFingerprints& fps,
+                                        ObjectId component) {
+  FingerprintBuilder subtree;
+  subtree.mix(fps.unit.at(component));
+  for (const ObjectId sub : ssam.obj(component).refs("subcomponents")) {
+    const auto child = fps.subtree.find(sub);
+    if (child == fps.subtree.end()) return std::nullopt;
+    subtree.mix(child->second);
+  }
+  return subtree.finish();
+}
+
+/// Adds or retracts one adjacency entry per linked pair.
+void link_wiring(ModelFingerprints& fps,
+                 const std::vector<std::pair<ObjectId, ObjectId>>& pairs, bool add) {
+  const auto apply = [&](ObjectId from, ObjectId to) {
+    auto& list = fps.neighbours[from];
+    if (add) {
+      list.push_back(to);
+    } else if (const auto it = std::find(list.begin(), list.end(), to); it != list.end()) {
+      list.erase(it);
+    }
+    if (list.empty()) fps.neighbours.erase(from);
+  };
+  for (const auto& [a, b] : pairs) {
+    apply(a, b);
+    apply(b, a);
+  }
+}
+
+/// Re-links the signal adjacency `component`'s relationships contribute
+/// (impact_of_change's connected-components rule, resolved against the
+/// snapshot's IONode owners).
+void relink_wiring(ModelFingerprints& fps, const SsamModel& ssam, ObjectId component) {
+  std::vector<std::pair<ObjectId, ObjectId>> pairs;
+  for (const ObjectId rel : ssam.obj(component).refs("relationships")) {
+    const auto source = fps.node_owner.find(ssam.obj(rel).ref("source"));
+    const auto target = fps.node_owner.find(ssam.obj(rel).ref("target"));
+    if (source == fps.node_owner.end() || target == fps.node_owner.end()) continue;
+    if (source->second == target->second) continue;
+    pairs.emplace_back(source->second, target->second);
+  }
+  auto old = fps.wiring.find(component);
+  if (old != fps.wiring.end()) {
+    if (old->second == pairs) return;
+    link_wiring(fps, old->second, false);
+    fps.wiring.erase(old);
+  }
+  if (pairs.empty()) return;
+  link_wiring(fps, pairs, true);
+  fps.wiring.emplace(component, std::move(pairs));
+}
+
+/// Drops every trace of a component that left the subtree.
+void forget(ModelFingerprints& fps, ObjectId component) {
+  if (const auto old = fps.wiring.find(component); old != fps.wiring.end()) {
+    link_wiring(fps, old->second, false);
+    fps.wiring.erase(old);
+  }
+  fps.unit.erase(component);
+  fps.subtree.erase(component);
+  fps.parent.erase(component);
+  fps.children.erase(component);
+  fps.path.erase(component);
+}
+
+/// (Re-)fingerprints the containment subtree of `top` (whose path is given)
+/// in one iterative post-order walk: paths, parents, children and IONode
+/// owners on the way down, unit and subtree hashes on the way up. Appends
+/// each visited component to `visited`, and (when `changed` is given) adds
+/// those whose unit hash moved. Wiring is left to the caller, which links it
+/// once every IONode owner is known.
+void walk_subtree(const SsamModel& ssam, ObjectId top, std::string top_path,
+                  const Fingerprint& options_hash, ModelFingerprints& fps,
+                  std::vector<ObjectId>& visited, std::set<ObjectId>* changed) {
+  struct Visit {
+    ObjectId component;
+    bool expanded = false;
+  };
+  fps.path[top] = std::move(top_path);
+  std::vector<Visit> stack{{top, false}};
+  while (!stack.empty()) {
+    if (!stack.back().expanded) {
+      stack.back().expanded = true;
+      const ObjectId component = stack.back().component;
+      const auto& obj = ssam.obj(component);
+      for (const ObjectId node : obj.refs("ioNodes")) fps.node_owner[node] = component;
+      const auto& subs = obj.refs("subcomponents");
+      if (subs.empty()) {
+        fps.children.erase(component);
+        continue;
+      }
+      fps.children[component] = subs;
+      const std::string& path = fps.path[component];
+      for (const ObjectId sub : subs) {
+        fps.parent[sub] = component;
+        fps.path[sub] = path + "/" + std::string(attr_text(ssam.obj(sub), "name"));
+        stack.push_back({sub, false});
+      }
+      continue;
+    }
+    const ObjectId component = stack.back().component;
+    stack.pop_back();
+    const Fingerprint unit =
+        unit_fingerprint(ssam, component, fps.path.at(component), options_hash);
+    const auto [it, inserted] = fps.unit.try_emplace(component, unit);
+    if (changed != nullptr && (inserted || it->second != unit)) changed->insert(component);
+    it->second = unit;
+    fps.subtree[component] = *fold_subtree(ssam, fps, component);
+    visited.push_back(component);
+  }
+}
+
+/// Depth of a snapshot component below the root.
+size_t depth_of(const ModelFingerprints& fps, ObjectId component) {
+  size_t depth = 0;
+  for (auto it = fps.parent.find(component); it != fps.parent.end();
+       it = fps.parent.find(it->second)) {
+    ++depth;
+  }
+  return depth;
+}
+
+/// Members of the snapshot subtree of `top` (its old structure).
+void old_members(const ModelFingerprints& fps, ObjectId top, std::set<ObjectId>& out) {
+  std::vector<ObjectId> stack{top};
+  while (!stack.empty()) {
+    const ObjectId component = stack.back();
+    stack.pop_back();
+    out.insert(component);
+    const auto children = fps.children.find(component);
+    if (children == fps.children.end()) continue;
+    stack.insert(stack.end(), children->second.begin(), children->second.end());
+  }
+}
+
 }  // namespace
 
 ModelFingerprints fingerprint_model(const SsamModel& ssam, ObjectId root,
                                     const core::GraphFmeaOptions& options) {
-  const Fingerprint options_hash = options_fingerprint(options);
-
   ModelFingerprints out;
-  // IONode -> owning component, filled pre-order so that by the time a
-  // component's relationships are folded (post-order), every endpoint owner
-  // — the component itself or a descendant — is already known.
-  std::map<ObjectId, ObjectId> node_owner;
-  // Iterative post-order over the containment tree: children's subtree
-  // hashes are ready when the parent's is folded.
-  struct Visit {
-    ObjectId component;
-    std::string path;
-    bool expanded = false;
+  std::vector<ObjectId> visited;
+  walk_subtree(ssam, root, ssam.obj(root).get_string("name"), options_fingerprint(options), out,
+               visited, nullptr);
+  // Every IONode owner in the subtree is known now, so each relationship
+  // resolves against the whole subtree.
+  for (const ObjectId component : visited) relink_wiring(out, ssam, component);
+  return out;
+}
+
+std::vector<ObjectId> refresh_fingerprints(ModelFingerprints& fps, const SsamModel& ssam,
+                                           const core::GraphFmeaOptions& options,
+                                           const std::set<ObjectId>& edited) {
+  const Fingerprint options_hash = options_fingerprint(options);
+  std::set<ObjectId> changed;
+
+  // Shallowest first, so an edited ancestor's walk covers edited descendants.
+  std::vector<std::pair<size_t, ObjectId>> tops;
+  for (const ObjectId component : edited) {
+    if (fps.unit.contains(component)) tops.emplace_back(depth_of(fps, component), component);
+  }
+  std::sort(tops.begin(), tops.end());
+
+  std::set<ObjectId> walked;
+  std::vector<ObjectId> rewired;
+  // Old members of re-walked subtrees; those no walk reaches have left.
+  std::set<ObjectId> left;
+  const auto rewalk = [&](ObjectId top) {
+    old_members(fps, top, left);
+    const auto parent = fps.parent.find(top);
+    std::string path(attr_text(ssam.obj(top), "name"));
+    if (parent != fps.parent.end()) path = fps.path.at(parent->second) + "/" + path;
+    std::vector<ObjectId> visited;
+    walk_subtree(ssam, top, std::move(path), options_hash, fps, visited, &changed);
+    walked.insert(visited.begin(), visited.end());
+    rewired.insert(rewired.end(), visited.begin(), visited.end());
   };
-  std::vector<Visit> stack{{root, ssam.obj(root).get_string("name"), false}};
-  while (!stack.empty()) {
-    if (!stack.back().expanded) {
-      stack.back().expanded = true;
-      // Copy before pushing children: push_back may relocate the stack.
-      const ObjectId component = stack.back().component;
-      const std::string path = stack.back().path;
-      out.path[component] = path;
-      for (const ObjectId node : ssam.obj(component).refs("ioNodes")) {
-        node_owner[node] = component;
-      }
-      for (const ObjectId sub : ssam.obj(component).refs("subcomponents")) {
-        out.parent[sub] = component;
-        stack.push_back({sub, path + "/" + ssam.obj(sub).get_string("name"), false});
-      }
-      continue;
+  for (const auto& [depth, component] : tops) {
+    if (!walked.contains(component)) rewalk(component);
+  }
+
+  // The unit of each edited component's parent reads its surface; then every
+  // ancestor's subtree hash is refolded, deepest first.
+  std::vector<std::pair<size_t, ObjectId>> refold;
+  for (const auto& [depth, component] : tops) {
+    const auto parent = fps.parent.find(component);
+    if (parent == fps.parent.end()) continue;
+    const ObjectId unit = parent->second;
+    if (!walked.contains(unit)) {
+      const Fingerprint fp = unit_fingerprint(ssam, unit, fps.path.at(unit), options_hash);
+      Fingerprint& current = fps.unit.at(unit);
+      if (current != fp) changed.insert(unit);
+      current = fp;
+      walked.insert(unit);
+      rewired.push_back(unit);
     }
-    const Visit current = stack.back();
-    stack.pop_back();
-    const Fingerprint unit =
-        unit_fingerprint(ssam, current.component, current.path, options_hash);
-    out.unit[current.component] = unit;
-    FingerprintBuilder subtree;
-    subtree.mix(unit);
-    for (const ObjectId sub : ssam.obj(current.component).refs("subcomponents")) {
-      subtree.mix(out.subtree.at(sub));
-    }
-    out.subtree[current.component] = subtree.finish();
-    // Signal adjacency from this component's wiring (impact_of_change's
-    // connected-components rule, resolved against the subtree).
-    for (const ObjectId rel : ssam.obj(current.component).refs("relationships")) {
-      const auto source = node_owner.find(ssam.obj(rel).ref("source"));
-      const auto target = node_owner.find(ssam.obj(rel).ref("target"));
-      if (source == node_owner.end() || target == node_owner.end()) continue;
-      if (source->second == target->second) continue;
-      auto link = [&](ObjectId from, ObjectId to) {
-        auto& list = out.neighbours[from];
-        if (std::find(list.begin(), list.end(), to) == list.end()) list.push_back(to);
-      };
-      link(source->second, target->second);
-      link(target->second, source->second);
+    size_t up_depth = depth - 1;
+    for (ObjectId up = unit;; up = fps.parent.at(up), --up_depth) {
+      refold.emplace_back(up_depth, up);
+      if (!fps.parent.contains(up)) break;
     }
   }
-  return out;
+  std::sort(refold.begin(), refold.end(), std::greater<>());
+  refold.erase(std::unique(refold.begin(), refold.end()), refold.end());
+  for (const auto& [depth, component] : refold) {
+    // A child the snapshot does not know means an unannounced structural
+    // edit: re-walk the whole subtree rather than fold a stale hash.
+    if (const auto folded = fold_subtree(ssam, fps, component)) {
+      fps.subtree[component] = *folded;
+    } else {
+      rewalk(component);
+    }
+  }
+
+  for (const ObjectId gone : left) {
+    if (walked.contains(gone)) continue;
+    forget(fps, gone);
+    changed.insert(gone);
+  }
+  for (const ObjectId component : rewired) {
+    if (fps.unit.contains(component)) relink_wiring(fps, ssam, component);
+  }
+  return {changed.begin(), changed.end()};
 }
 
 std::vector<ObjectId> fingerprint_diff(const ModelFingerprints& before,

@@ -70,6 +70,7 @@ struct ServiceMetrics {
     registry.counter("decisive_session_cache_hits_total");
     registry.counter("decisive_session_cache_misses_total");
     registry.counter("decisive_session_invalidations_total");
+    registry.counter("decisive_session_full_fingerprint_passes_total");
     registry.counter("decisive_fta_request_cache_hits_total");
     registry.counter("decisive_fta_request_cache_misses_total");
     get();
@@ -109,7 +110,7 @@ class Service {
       else if (command == "campaign") cmd_campaign(tokens);
       else if (command == "pareto") cmd_pareto(tokens);
       else if (command == "fta") cmd_fta(tokens);
-      else if (command == "reanalyze") cmd_reanalyze();
+      else if (command == "reanalyze") cmd_reanalyze(tokens);
       else if (command == "table") cmd_table();
       else if (command == "result") cmd_result();
       else if (command == "metrics") cmd_metrics();
@@ -200,7 +201,8 @@ class Service {
             "  fta [<mission-hours> [<max-order>]]  ZBDD fault tree of the root:\n"
             "      cut sets, exact top-event probability, importance, LFM\n"
             "      (reply cached on the root subtree fingerprint)\n"
-            "  reanalyze                          incremental FMEA + stats\n"
+            "  reanalyze [--verify]               incremental FMEA + stats; --verify\n"
+            "      re-hashes the whole model and reports unannounced edits\n"
             "  table                              last FMEDA table\n"
             "  result                             last SPFM / ASIL\n"
             "  metrics                            Prometheus-style instrumentation dump\n"
@@ -306,7 +308,7 @@ class Service {
       throw ModelError("usage: pareto <catalogue> [<epsilon>]");
     }
     AnalysisSession& session = require_session();
-    if (!session.has_result()) cmd_reanalyze();  // the front needs an FMEA
+    if (!session.has_result()) cmd_reanalyze({"reanalyze"});  // the front needs an FMEA
     const auto catalogue = core::SafetyMechanismModel::load_catalogue(tokens[1]);
     core::ParetoOptions options;
     options.jobs = analysis_.jobs;
@@ -328,10 +330,10 @@ class Service {
     const double mission = tokens.size() > 1 ? parse_double(tokens[1]) : 10000.0;
     const size_t max_order = tokens.size() > 2 ? parse_count(tokens[2]) : 0;
     AnalysisSession& session = require_session();
-    if (!session.has_result()) cmd_reanalyze();  // the LFM needs an FMEA
+    if (!session.has_result()) cmd_reanalyze({"reanalyze"});  // the LFM needs an FMEA
 
     auto& registry = obs::Registry::global();
-    const ModelFingerprints fps = fingerprint_model(*model_, session.root(), analysis_);
+    const ModelFingerprints& fps = session.fingerprints();
     const std::string key = to_hex(fps.subtree.at(session.root())) + "|" +
                             format_number(mission, 6) + "|" + std::to_string(max_order);
     if (const auto it = fta_replies_.find(key); it != fta_replies_.end()) {
@@ -365,9 +367,14 @@ class Service {
     out_ << reply;
   }
 
-  void cmd_reanalyze() {
+  void cmd_reanalyze(const std::vector<std::string>& tokens) {
+    const bool verify = tokens.size() == 2 && tokens[1] == "--verify";
+    if (tokens.size() > 2 || (tokens.size() == 2 && !verify)) {
+      throw ModelError("usage: reanalyze [--verify]");
+    }
     AnalysisSession& session = require_session();
-    const core::FmedaResult& result = session.reanalyze();
+    const core::FmedaResult& result =
+        verify ? session.reanalyze_verified() : session.reanalyze();
     const AnalysisSession::Stats& stats = session.last_stats();
     ServiceMetrics& metrics = ServiceMetrics::get();
     metrics.spfm.set(result.spfm());
@@ -380,6 +387,7 @@ class Service {
          << stats.cache_misses << " hit-rate " << format_percent(stats.hit_rate()) << "\n";
     out_ << "dirty changed " << stats.changed_components << " widened "
          << stats.widened_components << "\n";
+    if (verify) out_ << "verify unannounced " << stats.unannounced_components << "\n";
     out_ << "time fingerprint " << format_ms(stats.fingerprint_seconds) << " analyze "
          << format_ms(stats.analyze_seconds) << " total " << format_ms(stats.total_seconds)
          << "\n";

@@ -222,13 +222,11 @@ std::vector<ObjectId> SsamModel::all_components_under(ObjectId root) const {
 
 ObjectId SsamModel::find_by_name(std::string_view class_name, std::string_view name) const {
   const auto& wanted = meta().get(class_name);
-  ObjectId found = kNullObject;
-  repo_.for_each([&](const ModelObject& o) {
-    if (found == kNullObject && o.is_kind_of(wanted) && o.get_string("name") == name) {
-      found = o.id();
-    }
+  return repo_.find_first([&](const ModelObject& o) {
+    if (!o.is_kind_of(wanted)) return false;
+    const auto* text = std::get_if<std::string>(&o.get("name"));
+    return text != nullptr ? *text == name : name.empty();
   });
-  return found;
 }
 
 query::Value run_extraction(const SsamModel& ssam, ObjectId external_reference) {

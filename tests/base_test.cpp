@@ -4,8 +4,14 @@
 
 #include <unistd.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "decisive/base/csv.hpp"
 #include "decisive/base/error.hpp"
@@ -93,6 +99,81 @@ TEST(Strings, FormatNumberTrimsTrailingZeros) {
 TEST(Strings, FormatPercent) {
   EXPECT_EQ(format_percent(0.9677), "96.77%");
   EXPECT_EQ(format_percent(0.3, 0), "30%");
+}
+
+namespace {
+
+/// The "%.*f" rendering format_number trims, from a buffer wide enough for
+/// any double (309 integer digits) at the precisions the sweep uses.
+std::string printf_fixed(double value, int decimals) {
+  std::vector<char> buffer(1200);
+  std::snprintf(buffer.data(), buffer.size(), "%.*f", decimals, value);
+  return buffer.data();
+}
+
+std::string trimmed_oracle(double value, int decimals) {
+  std::string out = printf_fixed(value, decimals);
+  if (out.find('.') != std::string::npos) {
+    while (out.back() == '0') out.pop_back();
+    if (out.back() == '.') out.pop_back();
+  }
+  return out == "-0" ? "0" : out;
+}
+
+}  // namespace
+
+TEST(Strings, FormatNumberIsExactAtAnyMagnitude) {
+  // A 64-byte buffer used to truncate these to a 63-digit number.
+  EXPECT_EQ(format_number(1e300, 6), printf_fixed(1e300, 6).substr(0, 301));
+  EXPECT_EQ(format_number(1e300, 6).size(), 301u);
+  EXPECT_EQ(format_number(1e300, 6).substr(0, 20), "10000000000000000525");
+  EXPECT_EQ(format_number(-1e70, 6), printf_fixed(-1e70, 0));
+  EXPECT_EQ(format_number(-1e70, 6).size(), 72u);
+  EXPECT_EQ(format_number(std::numeric_limits<double>::max()).size(), 309u);
+  EXPECT_EQ(format_percent(1e300).size(), printf_fixed(1e302, 2).size() + 1);
+  // Past the fixed buffer: a wide precision on a huge value.
+  EXPECT_EQ(format_number(1.5e300, 100), trimmed_oracle(1.5e300, 100));
+  EXPECT_EQ(format_number(std::numeric_limits<double>::denorm_min(), 800),
+            trimmed_oracle(std::numeric_limits<double>::denorm_min(), 800));
+  EXPECT_EQ(format_number(std::numeric_limits<double>::quiet_NaN()), "nan");
+  EXPECT_EQ(format_number(-std::numeric_limits<double>::infinity()), "-inf");
+}
+
+TEST(Strings, FormatNumberMatchesPrintfOnASeededSweep) {
+  std::mt19937_64 rng(20261018u);
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                0.0000005,   // ties at six decimals
+                                -0.0000005,
+                                2.5e-7,
+                                1.0000005,
+                                0.1234565,
+                                -7.9999995,
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min() / 3.0,
+                                std::numeric_limits<double>::max(),
+                                -std::numeric_limits<double>::max(),
+                                123456789012345678.0,
+                                4.5,
+                                -2.5};
+  std::uniform_real_distribution<double> mantissa(-10.0, 10.0);
+  std::uniform_int_distribution<int> exponent(-320, 308);
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back(mantissa(rng) * std::pow(10.0, exponent(rng)));
+    // Raw bit patterns reach subnormals, negatives and huge values alike.
+    const double raw = std::bit_cast<double>(rng());
+    if (std::isfinite(raw)) values.push_back(raw);
+  }
+  for (const double value : values) {
+    if (!std::isfinite(value)) continue;
+    for (const int decimals : {0, 2, 6, 9}) {
+      ASSERT_EQ(format_number(value, decimals), trimmed_oracle(value, decimals))
+          << "value " << printf_fixed(value, 20) << " decimals " << decimals;
+      ASSERT_EQ(format_percent(value, decimals), printf_fixed(value * 100.0, decimals) + "%")
+          << "value " << printf_fixed(value, 20) << " decimals " << decimals;
+    }
+  }
 }
 
 TEST(ErrorHierarchy, KindsAndMessages) {

@@ -153,9 +153,12 @@ TEST(IncrementalTest, SingleEditOnScalabilityModelHitsOverNinetyPercent) {
 
 TEST(IncrementalTest, RandomEditSequencesStayByteIdenticalToCold) {
   // Seeded property test: whatever sequence of FIT edits, new failure
-  // modes, mechanism deployments, rewires and renames is applied — with or
-  // without note_edit announcements — the incremental FMEDA equals a cold
-  // run on the same state, byte for byte.
+  // modes, mechanism deployments, rewires and renames is applied, the
+  // incremental FMEDA equals a cold run on the same state, byte for byte.
+  // Announced edits go through the edit log alone, and the maintained
+  // fingerprint snapshot must then equal a fresh full pass (the edit-log
+  // dirty set covers the fingerprint diff). Silent edits go through
+  // reanalyze_verified, whose full pass must catch them.
   std::mt19937 rng(20260805u);
   auto sys = core::make_scaled_architecture(5, 4);
   SsamModel& m = *sys.model;
@@ -167,6 +170,7 @@ TEST(IncrementalTest, RandomEditSequencesStayByteIdenticalToCold) {
   ASSERT_FALSE(components.empty());
 
   size_t total_hits = 0;
+  size_t silent_steps = 0;
   for (int step = 0; step < 30; ++step) {
     const ObjectId target = components[rng() % components.size()];
     switch (rng() % 5) {
@@ -195,16 +199,148 @@ TEST(IncrementalTest, RandomEditSequencesStayByteIdenticalToCold) {
         m.obj(target).set_string("name", "R" + std::to_string(step));
         break;
     }
-    // Half the edits are "silent": the fingerprint diff must catch them
-    // without an announcement.
-    if (rng() % 2 == 0) session.note_edit(target);
-
-    const std::string incremental = csv_of(session.reanalyze());
+    const bool announced = rng() % 2 == 0;
+    std::string incremental;
+    if (announced) {
+      session.note_edit(target);
+      incremental = csv_of(session.reanalyze());
+      EXPECT_EQ(session.last_stats().unannounced_components, 0u);
+      const auto fresh = fingerprint_model(m, sys.system, session.options());
+      const ModelFingerprints& kept = session.fingerprints();
+      ASSERT_EQ(kept.unit, fresh.unit) << "unit fingerprints drifted at step " << step;
+      ASSERT_EQ(kept.subtree, fresh.subtree) << "subtree fingerprints drifted at step " << step;
+      ASSERT_EQ(kept.parent, fresh.parent) << "step " << step;
+      ASSERT_EQ(kept.path, fresh.path) << "step " << step;
+    } else {
+      ++silent_steps;
+      incremental = csv_of(session.reanalyze_verified());
+      EXPECT_TRUE(session.last_stats().full_fingerprint_pass);
+    }
     ASSERT_EQ(incremental, csv_of(session.cold_analyze())) << "diverged at step " << step;
     total_hits += session.last_stats().cache_hits;
   }
-  // The loop must actually exercise the cache, not just bypass it.
+  // The loop must actually exercise the cache, not just bypass it, and both
+  // kinds of step must occur.
   EXPECT_GT(total_hits, 0u);
+  EXPECT_GT(silent_steps, 0u);
+  EXPECT_LT(silent_steps, 30u);
+}
+
+TEST(IncrementalTest, VerifyCatchesASilentEdit) {
+  auto sys = core::make_scaled_architecture(4, 3);
+  SsamModel& m = *sys.model;
+  AnalysisSession session(m, sys.system);
+  session.reanalyze();
+
+  const ObjectId leaf = m.find_by_name(ssam::cls::Component, "Unit2.Leaf1");
+  const ObjectId unit = m.find_by_name(ssam::cls::Component, "Unit2");
+  m.obj(leaf).set_real("fit", 777.0);  // not announced
+  // The edit log is empty, so a plain reanalyze replays the previous result.
+  session.reanalyze();
+  EXPECT_TRUE(session.last_stats().short_circuited);
+
+  const std::string verified = csv_of(session.reanalyze_verified());
+  const auto& stats = session.last_stats();
+  EXPECT_FALSE(stats.short_circuited);
+  EXPECT_TRUE(stats.full_fingerprint_pass);
+  EXPECT_EQ(stats.unannounced_components, 1u);
+  EXPECT_EQ(stats.changed_components, 1u);
+  EXPECT_EQ(verified, csv_of(session.cold_analyze()));
+  EXPECT_EQ(session.fingerprints().unit.at(unit),
+            fingerprint_model(m, sys.system, session.options()).unit.at(unit));
+}
+
+TEST(IncrementalTest, AnnouncedEditsRunNoFullFingerprintPass) {
+  // The edit log is the dirty seed: after the first run, 100 announced edits
+  // and the no-op turns between them never re-hash the whole model.
+  auto sys = core::make_scaled_architecture(6, 5);
+  SsamModel& m = *sys.model;
+  AnalysisSession session(m, sys.system);
+  auto& passes = obs::Registry::global().counter("decisive_session_full_fingerprint_passes_total");
+  auto& emitted = obs::Registry::global().counter("decisive_graph_fmea_emitted_rows_total");
+  const auto passes_before = passes.value();
+  session.reanalyze();
+  EXPECT_EQ(passes.value(), passes_before + 1);
+  EXPECT_TRUE(session.last_stats().full_fingerprint_pass);
+
+  for (int step = 0; step < 100; ++step) {
+    const ObjectId leaf = m.find_by_name(
+        ssam::cls::Component,
+        "Unit" + std::to_string(step % 6) + ".Leaf" + std::to_string(step % 5));
+    ASSERT_NE(leaf, model::kNullObject);
+    if (step % 10 == 3) {
+      m.add_failure_mode(leaf, "FM-" + std::to_string(step), 0.2, "lossOfFunction");
+    } else {
+      m.obj(leaf).set_real("fit", 10.0 + step);
+    }
+    session.note_edit(leaf);
+    const auto emitted_before_edit = emitted.value();
+    session.reanalyze();
+    EXPECT_FALSE(session.last_stats().full_fingerprint_pass);
+    // Only the dirty units' rows are emitted again.
+    EXPECT_LT(emitted.value() - emitted_before_edit, session.last_result().rows.size());
+
+    // A no-op turn emits nothing and re-hashes nothing.
+    const auto emitted_before = emitted.value();
+    session.reanalyze();
+    EXPECT_TRUE(session.last_stats().short_circuited);
+    EXPECT_EQ(emitted.value(), emitted_before);
+  }
+  EXPECT_EQ(passes.value(), passes_before + 1);
+  EXPECT_EQ(csv_of(session.last_result()), csv_of(session.cold_analyze()));
+}
+
+TEST(IncrementalTest, ReplacingTheCacheRunsOneFullPass) {
+  auto sys = core::make_scaled_architecture(4, 3);
+  AnalysisSession session(*sys.model, sys.system);
+  session.reanalyze();
+  session.cache().clear();
+  session.reanalyze();
+  EXPECT_TRUE(session.last_stats().full_fingerprint_pass);
+  EXPECT_TRUE(session.last_stats().short_circuited);
+  session.reanalyze();
+  EXPECT_FALSE(session.last_stats().full_fingerprint_pass);
+}
+
+TEST(IncrementalTest, AFailedTurnKeepsItsEditsForTheNextRun) {
+  auto sys = core::make_scaled_architecture(4, 3);
+  SsamModel& m = *sys.model;
+  AnalysisSession session(m, sys.system);
+  const std::string before = csv_of(session.reanalyze());
+
+  const ObjectId unit = m.find_by_name(ssam::cls::Component, "Unit1");
+  const ObjectId node = m.obj(unit).refs("ioNodes").front();
+  const std::string direction = m.obj(node).get_string("direction");
+  m.obj(node).set_string("direction", "sideways");
+  session.note_edit(unit);
+  EXPECT_THROW(session.reanalyze(), AnalysisError);
+  // The failed turn changed nothing the caller can see.
+  EXPECT_EQ(csv_of(session.last_result()), before);
+
+  // Repairing the model and re-running re-analyses the same dirty set.
+  m.obj(node).set_string("direction", direction);
+  const ObjectId leaf = m.find_by_name(ssam::cls::Component, "Unit1.Leaf1");
+  m.obj(leaf).set_real("fit", 55.0);
+  session.note_edit(leaf);
+  const std::string after = csv_of(session.reanalyze());
+  EXPECT_GE(session.last_stats().changed_components, 1u);
+  EXPECT_EQ(after, csv_of(session.cold_analyze()));
+}
+
+TEST(IncrementalTest, AddingALeafSplicesItsRows) {
+  // A new failure mode changes the row count of one unit: the rows after it
+  // shift, and the result still equals a cold run.
+  auto sys = core::make_scaled_architecture(5, 4);
+  SsamModel& m = *sys.model;
+  AnalysisSession session(m, sys.system);
+  session.reanalyze();
+  const size_t rows_before = session.last_result().rows.size();
+  const ObjectId leaf = m.find_by_name(ssam::cls::Component, "Unit1.Leaf2");
+  m.add_failure_mode(leaf, "Stuck", 0.3, "lossOfFunction");
+  session.note_edit(leaf);
+  const std::string incremental = csv_of(session.reanalyze());
+  EXPECT_EQ(session.last_result().rows.size(), rows_before + 1);
+  EXPECT_EQ(incremental, csv_of(session.cold_analyze()));
 }
 
 // ---------------------------------------------------------------------------

@@ -126,6 +126,22 @@ TEST(SsamFacade, CiteAndFind) {
   EXPECT_EQ(m.find_by_name(cls::HazardousSituation, "H9"), model::kNullObject);
 }
 
+TEST(SsamFacade, FindByNameReturnsTheFirstCreatedMatch) {
+  SsamModel m;
+  const auto pkg = m.create_component_package("pkg");
+  const auto first = m.create_component(pkg, "Twin");
+  const auto other = m.create_component(pkg, "Other");
+  const auto second = m.create_component(pkg, "Twin");
+  ASSERT_NE(first, second);
+  EXPECT_EQ(m.find_by_name(cls::Component, "Twin"), first);
+  EXPECT_EQ(m.find_by_name(cls::Component, "Other"), other);
+  // Renaming the first hands the name to the second.
+  m.obj(first).set_string("name", "Renamed");
+  EXPECT_EQ(m.find_by_name(cls::Component, "Twin"), second);
+  // The class filter applies before the name: a package is not a Component.
+  EXPECT_EQ(m.find_by_name(cls::Component, "pkg"), model::kNullObject);
+}
+
 // ------------------------------------------------------------- federation --
 
 TEST(Federation, ExtractsFromExternalCsv) {

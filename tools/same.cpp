@@ -244,10 +244,13 @@ int usage() {
       "      line from stdin (load / set-fit / rewire / add-failure-mode /\n"
       "      deploy-sm / impact / campaign / reanalyze / table / result /\n"
       "      metrics / stats / save / save-cache / load-cache / quit; 'help'\n"
-      "      lists them). Re-analyses replay fingerprint-cached per-component\n"
-      "      results and report the hit rate, dirty-set size and per-phase\n"
-      "      wall time; 'metrics' answers a Prometheus-style dump of the\n"
-      "      process-wide instrumentation registry.\n\n"
+      "      lists them). Re-analyses re-fingerprint and re-emit only what\n"
+      "      the logged edits reach, replay fingerprint-cached results for\n"
+      "      the rest and report the hit rate, dirty-set size and per-phase\n"
+      "      wall time; 'reanalyze --verify' also re-hashes the whole model\n"
+      "      and reports unannounced edits; 'metrics' answers a\n"
+      "      Prometheus-style dump of the process-wide instrumentation\n"
+      "      registry.\n\n"
       "  same check-trace <trace.json>\n"
       "      Validate a Chrome trace-event file: JSON well-formedness,\n"
       "      monotonic timestamps and balanced begin/end pairs per\n"
