@@ -1,6 +1,6 @@
-// Extension benchmark: the ZBDD fault-tree engine against the seed
-// path-enumeration oracle. Three gates run before the benchmarks and fail
-// the binary on violation:
+// Extension benchmark: the ZBDD fault-tree engine against the
+// path-enumeration oracle (tests/support). Three gates run before the
+// benchmarks and fail the binary on violation:
 //   1. identity   — ZBDD cut sets and rendered tree byte-identical to the
 //                   oracle on every subject where the oracle completes;
 //   2. speedup    — cut-set synthesis on the width-3 scaled subject (19683
@@ -26,6 +26,7 @@
 #include "decisive/fta/engine.hpp"
 #include "decisive/fta/lfm.hpp"
 #include "decisive/fta/quantify.hpp"
+#include "decisive/oracle/fta.hpp"
 
 using namespace decisive;
 
@@ -105,14 +106,14 @@ void verify_identity() {
       {"scaled 5x1 width-3", core::make_scaled_architecture(5, 1, 3), 3},
   };
   for (auto& subject : subjects) {
-    core::FtaOptions options;
+    oracle::FtaOptions options;
     options.max_cut_set_size = subject.oracle_bound;
-    const auto oracle =
-        core::synthesize_fault_tree(*subject.system.model, subject.system.system, options);
+    const auto oracle_tree =
+        oracle::synthesize_fault_tree(*subject.system.model, subject.system.system, options);
     const auto zbdd =
         fta::synthesize_fault_tree_zbdd(*subject.system.model, subject.system.system);
-    expect(oracle.cut_sets == zbdd.cut_sets, "ZBDD cut sets differ from the oracle");
-    expect(oracle.to_text() == zbdd.to_text(), "rendered trees differ from the oracle");
+    expect(oracle_tree.cut_sets == zbdd.cut_sets, "ZBDD cut sets differ from the oracle");
+    expect(oracle_tree.to_text() == zbdd.to_text(), "rendered trees differ from the oracle");
     const auto quant = fta::quantify(zbdd, 10000.0);
     expect(quant.exact_probability <= quant.rare_event_bound + 1e-12,
            "exact probability above the rare-event bound");
@@ -127,17 +128,17 @@ void verify_identity() {
 /// beats path enumeration by at least 10x.
 void verify_speedup() {
   auto subject = core::make_scaled_architecture(9, 1, 3);
-  core::FtaOptions options;
+  oracle::FtaOptions options;
   options.max_cut_set_size = 3;
   core::FaultTree oracle_tree;
   core::FaultTree zbdd_tree;
   // Warm pass (page in the model, size the arenas) before timing.
-  oracle_tree = core::synthesize_fault_tree(*subject.model, subject.system, options);
+  oracle_tree = oracle::synthesize_fault_tree(*subject.model, subject.system, options);
   zbdd_tree = fta::synthesize_fault_tree_zbdd(*subject.model, subject.system);
   expect(oracle_tree.cut_sets == zbdd_tree.cut_sets,
          "speedup subject: cut sets differ from the oracle");
   const double oracle_s = time_one([&] {
-    oracle_tree = core::synthesize_fault_tree(*subject.model, subject.system, options);
+    oracle_tree = oracle::synthesize_fault_tree(*subject.model, subject.system, options);
   });
   const double zbdd_s = time_one([&] {
     zbdd_tree = fta::synthesize_fault_tree_zbdd(*subject.model, subject.system);
@@ -155,7 +156,7 @@ void verify_reach() {
     auto subject = core::make_scaled_architecture(9, 1, width);
     bool oracle_threw = false;
     try {
-      (void)core::synthesize_fault_tree(*subject.model, subject.system);
+      (void)oracle::synthesize_fault_tree(*subject.model, subject.system);
     } catch (const AnalysisError&) {
       oracle_threw = true;
     }
@@ -193,10 +194,10 @@ BENCHMARK(BM_ZbddSynthesizeA)->Unit(benchmark::kMicrosecond);
 void BM_OracleSynthesizeScaled(benchmark::State& state) {
   auto system = core::make_scaled_architecture(static_cast<size_t>(state.range(0)), 1,
                                                static_cast<size_t>(state.range(1)));
-  core::FtaOptions options;
+  oracle::FtaOptions options;
   options.max_cut_set_size = static_cast<size_t>(state.range(1));
   for (auto _ : state) {
-    const auto tree = core::synthesize_fault_tree(*system.model, system.system, options);
+    const auto tree = oracle::synthesize_fault_tree(*system.model, system.system, options);
     benchmark::DoNotOptimize(tree.cut_sets.size());
   }
 }

@@ -26,6 +26,7 @@
 #include "decisive/base/csv.hpp"
 #include "decisive/base/error.hpp"
 #include "decisive/core/graph_fmea.hpp"
+#include "decisive/oracle/paths.hpp"
 #include "decisive/ssam/graph.hpp"
 
 using namespace decisive;
@@ -145,7 +146,7 @@ void verify_dense_case() {
   const auto graph = ssam::build_graph(arch->model, arch->system);
   bool exploded = false;
   try {
-    ssam::enumerate_paths(graph);
+    oracle::enumerate_paths(graph);
   } catch (const AnalysisError&) {
     exploded = true;
   }
@@ -186,9 +187,9 @@ void BM_DecideByEnumeration(benchmark::State& state) {
   const auto subs = subcomponents_of(graph);
   size_t decisions = 0;
   for (auto _ : state) {
-    const auto paths = ssam::enumerate_paths(graph);
+    const auto paths = oracle::enumerate_paths(graph);
     for (const ObjectId sub : subs) {
-      benchmark::DoNotOptimize(ssam::on_all_paths(graph, paths, sub));
+      benchmark::DoNotOptimize(oracle::on_all_paths(graph, paths, sub));
       ++decisions;
     }
   }

@@ -1,12 +1,14 @@
 // Fault Tree Analysis federated with FMEA on System B (the paper's
-// future-work item 1): synthesise the tree from the architecture, compute
-// the top-event probability for a mission, and cross-check the order-1 cut
-// sets against the automated FMEA's single points.
+// future-work item 1): synthesise the tree from the architecture with the
+// ZBDD engine, quantify the top event exactly for a mission, and cross-check
+// the order-1 cut sets against the automated FMEA's single points.
 #include <cstdio>
 
 #include "decisive/core/fta.hpp"
 #include "decisive/core/graph_fmea.hpp"
 #include "decisive/core/synthetic.hpp"
+#include "decisive/fta/engine.hpp"
+#include "decisive/fta/quantify.hpp"
 
 using namespace decisive;
 
@@ -14,7 +16,7 @@ int main() {
   auto system = core::make_system_b();
   auto& m = *system.model;
 
-  const auto tree = core::synthesize_fault_tree(m, system.system);
+  const auto tree = fta::synthesize_fault_tree_zbdd(m, system.system);
   std::printf("%s\n", tree.to_text().c_str());
 
   std::printf("minimal cut sets (%zu):\n", tree.cut_sets.size());
@@ -27,8 +29,9 @@ int main() {
   }
 
   for (const double mission_hours : {1.0, 1000.0, 10000.0, 100000.0}) {
-    std::printf("P(top event | %.0f h mission) = %.3e\n", mission_hours,
-                tree.top_event_probability(mission_hours));
+    const auto q = fta::quantify(tree, mission_hours);
+    std::printf("P(top event | %.0f h mission) = %.3e (rare-event bound %.3e)\n",
+                mission_hours, q.exact_probability, q.rare_event_bound);
   }
 
   // Federation with FMEA (quantitative + qualitative agreement).

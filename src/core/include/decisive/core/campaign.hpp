@@ -80,9 +80,10 @@ class CampaignRunner {
   [[nodiscard]] FmedaResult run() const;
 
   /// Identity hash of this campaign: circuit netlist, observables, task
-  /// list, classification thresholds and solver/retry configuration — but
-  /// not the job count or shard spec, which must not change results. The
-  /// journal refuses to resume under a different fingerprint.
+  /// list, classification thresholds, solver/retry configuration and, when an
+  /// SM model is given, each task's best safety mechanism — but not the job
+  /// count or shard spec, which must not change results. The journal refuses
+  /// to resume under a different fingerprint.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
   /// The journal header a run with these options writes/expects.

@@ -90,6 +90,24 @@ struct FmedaRow {
   }
 };
 
+/// Token codec for a row's analysis fields, shared by the campaign journal and
+/// the session result cache: component, type, id, path, FIT, failure mode,
+/// distribution, safety-related, effect, SM name, SM coverage and SM cost, in
+/// that order and space-separated. Strings are escape_token'd and doubles are
+/// exact double_to_token hexfloats, so a row round-trips bit for bit.
+inline constexpr size_t kFmedaRowTokenCount = 12;
+
+[[nodiscard]] std::string fmeda_row_tokens(const FmedaRow& row);
+
+/// Inverse of fmeda_row_tokens over tokens[first, first + kFmedaRowTokenCount)
+/// (the caller checks the record's arity). Throws ParseError on a malformed
+/// field.
+[[nodiscard]] FmedaRow fmeda_row_from_tokens(const std::vector<std::string>& tokens,
+                                             size_t first);
+
+/// Parses an EffectClass written as its integer value; throws ParseError.
+[[nodiscard]] EffectClass effect_from_token(const std::string& token);
+
 /// A complete FME(D)A of one system design.
 struct FmedaResult {
   std::string system;

@@ -35,7 +35,7 @@ struct ComponentReliability {
 class ReliabilityModel {
  public:
   /// Adds (or extends) an entry. Throws AnalysisError when a distribution is
-  /// outside [0,1] or FIT is negative.
+  /// outside [0,1] or the FIT fails check_fit.
   void add(std::string component_type, double fit, std::vector<FailureModeSpec> modes);
 
   /// Lookup by type; nullptr when unknown.
@@ -60,6 +60,11 @@ class ReliabilityModel {
  private:
   std::vector<ComponentReliability> entries_;
 };
+
+/// The one FIT domain check: throws AnalysisError unless `fit` is a finite
+/// number >= 0. `owner` names the component (type) in the message. Used by
+/// the reliability workbook and by session `set-fit`.
+void check_fit(double fit, std::string_view owner);
 
 /// True when the two component-type names refer to the same type
 /// (case-insensitive, plus the MC/MCU/Microcontroller alias group).

@@ -226,6 +226,18 @@ std::uint64_t CampaignRunner::fingerprint() const {
           << task.component->element << ' ' << task.reliability->component_type << ' '
           << double_to_token(task.reliability->fit) << ' ' << task.mode->name << ' '
           << double_to_token(task.mode->distribution);
+    // The SM decoration run_task writes into safety-related rows. Only folded
+    // in when an SM model is given, so SM-less fingerprints stay unchanged.
+    if (sm_model_ != nullptr) {
+      ident << "|m ";
+      if (const SafetyMechanismSpec* sm =
+              sm_model_->best(task.component->block_type, task.mode->name)) {
+        ident << sm->name << ' ' << double_to_token(sm->coverage) << ' '
+              << double_to_token(sm->cost_hours);
+      } else {
+        ident << '-';
+      }
+    }
   }
   ident << "|c " << double_to_token(options_.relative_threshold) << ' '
         << double_to_token(options_.absolute_floor);

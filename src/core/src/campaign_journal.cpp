@@ -17,8 +17,9 @@ namespace {
 constexpr const char* kJournalTag = "journal";
 constexpr int kJournalVersion = 1;
 
-/// Number of FmedaRow fields in one "row" record (journal_row_tokens).
-constexpr size_t kRowFieldCount = 17;
+/// Number of FmedaRow fields in one "row" record (journal_row_tokens): the
+/// shared row codec's fields plus five campaign-outcome fields.
+constexpr size_t kRowFieldCount = kFmedaRowTokenCount + 5;
 
 /// Appends the framing checksum to a record body, producing the full line.
 std::string seal_line(const std::string& body) {
@@ -49,12 +50,6 @@ FaultOutcome outcome_from_token(const std::string& token) {
   return static_cast<FaultOutcome>(value);
 }
 
-EffectClass journal_effect_from_token(const std::string& token) {
-  const std::uint64_t value = u64_from_token(token);
-  if (value > 2) throw ParseError("bad effect class '" + token + "'");
-  return static_cast<EffectClass>(value);
-}
-
 int int_from_token(const std::string& token) {
   return static_cast<int>(u64_from_token(token));
 }
@@ -71,37 +66,21 @@ std::uint64_t u64_from_hex(const std::string& token) {
 
 std::string journal_row_tokens(const FmedaRow& row) {
   std::ostringstream out;
-  out << escape_token(row.component) << ' ' << escape_token(row.component_type) << ' '
-      << row.component_id << ' ' << escape_token(row.component_path) << ' '
-      << double_to_token(row.fit) << ' ' << escape_token(row.failure_mode) << ' '
-      << double_to_token(row.distribution) << ' ' << (row.safety_related ? 1 : 0) << ' '
-      << static_cast<int>(row.effect) << ' ' << escape_token(row.safety_mechanism) << ' '
-      << double_to_token(row.sm_coverage) << ' ' << double_to_token(row.sm_cost_hours) << ' '
-      << static_cast<int>(row.outcome) << ' ' << escape_token(row.outcome_detail) << ' '
-      << row.solver_iterations << ' ' << row.ladder_rung << ' ' << row.retries;
+  out << fmeda_row_tokens(row) << ' ' << static_cast<int>(row.outcome) << ' '
+      << escape_token(row.outcome_detail) << ' ' << row.solver_iterations << ' '
+      << row.ladder_rung << ' ' << row.retries;
   return out.str();
 }
 
 FmedaRow journal_row_from_tokens(const std::vector<std::string>& tokens, size_t first) {
   if (tokens.size() != first + kRowFieldCount) throw ParseError("bad row record arity");
-  FmedaRow row;
-  row.component = unescape_token(tokens[first + 0]);
-  row.component_type = unescape_token(tokens[first + 1]);
-  row.component_id = u64_from_token(tokens[first + 2]);
-  row.component_path = unescape_token(tokens[first + 3]);
-  row.fit = double_from_token(tokens[first + 4]);
-  row.failure_mode = unescape_token(tokens[first + 5]);
-  row.distribution = double_from_token(tokens[first + 6]);
-  row.safety_related = u64_from_token(tokens[first + 7]) != 0;
-  row.effect = journal_effect_from_token(tokens[first + 8]);
-  row.safety_mechanism = unescape_token(tokens[first + 9]);
-  row.sm_coverage = double_from_token(tokens[first + 10]);
-  row.sm_cost_hours = double_from_token(tokens[first + 11]);
-  row.outcome = outcome_from_token(tokens[first + 12]);
-  row.outcome_detail = unescape_token(tokens[first + 13]);
-  row.solver_iterations = int_from_token(tokens[first + 14]);
-  row.ladder_rung = int_from_token(tokens[first + 15]);
-  row.retries = int_from_token(tokens[first + 16]);
+  FmedaRow row = fmeda_row_from_tokens(tokens, first);
+  const size_t outcome = first + kFmedaRowTokenCount;
+  row.outcome = outcome_from_token(tokens[outcome + 0]);
+  row.outcome_detail = unescape_token(tokens[outcome + 1]);
+  row.solver_iterations = int_from_token(tokens[outcome + 2]);
+  row.ladder_rung = int_from_token(tokens[outcome + 3]);
+  row.retries = int_from_token(tokens[outcome + 4]);
   return row;
 }
 

@@ -1,9 +1,12 @@
 #include "decisive/core/fmeda.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
+#include <sstream>
 
 #include "decisive/base/error.hpp"
+#include "decisive/base/persist.hpp"
 #include "decisive/base/strings.hpp"
 
 namespace decisive::core {
@@ -27,6 +30,40 @@ std::string_view to_string(FaultOutcome outcome) noexcept {
     case FaultOutcome::Crashed: return "Crashed";
   }
   return "Converged";
+}
+
+std::string fmeda_row_tokens(const FmedaRow& row) {
+  std::ostringstream out;
+  out << escape_token(row.component) << ' ' << escape_token(row.component_type) << ' '
+      << row.component_id << ' ' << escape_token(row.component_path) << ' '
+      << double_to_token(row.fit) << ' ' << escape_token(row.failure_mode) << ' '
+      << double_to_token(row.distribution) << ' ' << (row.safety_related ? 1 : 0) << ' '
+      << static_cast<int>(row.effect) << ' ' << escape_token(row.safety_mechanism) << ' '
+      << double_to_token(row.sm_coverage) << ' ' << double_to_token(row.sm_cost_hours);
+  return out.str();
+}
+
+FmedaRow fmeda_row_from_tokens(const std::vector<std::string>& tokens, size_t first) {
+  FmedaRow row;
+  row.component = unescape_token(tokens[first + 0]);
+  row.component_type = unescape_token(tokens[first + 1]);
+  row.component_id = u64_from_token(tokens[first + 2]);
+  row.component_path = unescape_token(tokens[first + 3]);
+  row.fit = double_from_token(tokens[first + 4]);
+  row.failure_mode = unescape_token(tokens[first + 5]);
+  row.distribution = double_from_token(tokens[first + 6]);
+  row.safety_related = u64_from_token(tokens[first + 7]) != 0;
+  row.effect = effect_from_token(tokens[first + 8]);
+  row.safety_mechanism = unescape_token(tokens[first + 9]);
+  row.sm_coverage = double_from_token(tokens[first + 10]);
+  row.sm_cost_hours = double_from_token(tokens[first + 11]);
+  return row;
+}
+
+EffectClass effect_from_token(const std::string& token) {
+  const std::uint64_t value = u64_from_token(token);
+  if (value > 2) throw ParseError("bad effect class '" + token + "'");
+  return static_cast<EffectClass>(value);
 }
 
 std::array<size_t, kFaultOutcomeCount> FmedaResult::outcome_counts() const {
@@ -99,10 +136,14 @@ bool FmedaResult::has_safety_related() const {
 
 double FmedaResult::spfm() const {
   const double denominator = total_safety_related_fit();
+  const double residual = single_point_fit();
+  if (!std::isfinite(denominator) || !std::isfinite(residual)) {
+    throw AnalysisError("SPFM undefined: a safety-related FIT sum is not finite");
+  }
   // Documented convention: an empty denominator (no safety-related hardware)
   // yields 1.0. Callers must not read that as ASIL-D — see asil_label().
   if (denominator <= 0.0) return 1.0;
-  return 1.0 - single_point_fit() / denominator;
+  return 1.0 - residual / denominator;
 }
 
 std::string FmedaResult::asil_label() const {
@@ -190,46 +231,59 @@ TextTable FmedaResult::to_text() const {
   return table;
 }
 
-double spfm_target(std::string_view asil) {
+namespace {
+
+/// One rung of the ISO 26262 hardware-metric ladder.
+struct AsilTargets {
+  std::string_view label;
+  double spfm;
+  double lfm;
+};
+
+/// Most stringent first; ASIL-A and QM impose no metric target.
+constexpr AsilTargets kAsilLadder[] = {
+    {"ASIL-D", kSpfmTargetAsilD, kLfmTargetAsilD},
+    {"ASIL-C", kSpfmTargetAsilC, kLfmTargetAsilC},
+    {"ASIL-B", kSpfmTargetAsilB, kLfmTargetAsilB},
+    {"ASIL-A", 0.0, 0.0},
+};
+
+/// The ladder rung of an ASIL name ("ASIL-B", "asil b", "B", "QM", ...).
+const AsilTargets& parse_asil(std::string_view asil) {
   std::string a = to_lower(trim(asil));
-  if (starts_with(a, "asil-")) a = a.substr(5);
-  else if (starts_with(a, "asil ")) a = a.substr(5);
+  if (starts_with(a, "asil-") || starts_with(a, "asil ")) a = a.substr(5);
   else if (starts_with(a, "asil")) a = a.substr(4);
-  if (a == "qm" || a == "a") return 0.0;
-  if (a == "b") return kSpfmTargetAsilB;
-  if (a == "c") return kSpfmTargetAsilC;
-  if (a == "d") return kSpfmTargetAsilD;
+  if (a == "qm") a = "a";
+  for (const AsilTargets& rung : kAsilLadder) {
+    if (a == to_lower(rung.label.substr(5))) return rung;
+  }
   throw AnalysisError("unknown ASIL '" + std::string(asil) + "'");
 }
+
+/// The most stringent rung whose `metric` target `value` meets. A metric
+/// that is not finite never gets an ASIL.
+std::string achieved(double value, double AsilTargets::*metric, std::string_view name) {
+  if (!std::isfinite(value)) {
+    throw AnalysisError(std::string(name) + " is not finite; no ASIL can be claimed");
+  }
+  for (const AsilTargets& rung : kAsilLadder) {
+    if (value >= rung.*metric) return std::string(rung.label);
+  }
+  return "ASIL-A";  // below even ASIL-A's zero target (a negative metric)
+}
+
+}  // namespace
+
+double spfm_target(std::string_view asil) { return parse_asil(asil).spfm; }
 
 bool meets_asil(double spfm, std::string_view asil) { return spfm >= spfm_target(asil); }
 
-std::string achieved_asil(double spfm) {
-  if (spfm >= kSpfmTargetAsilD) return "ASIL-D";
-  if (spfm >= kSpfmTargetAsilC) return "ASIL-C";
-  if (spfm >= kSpfmTargetAsilB) return "ASIL-B";
-  return "ASIL-A";
-}
+std::string achieved_asil(double spfm) { return achieved(spfm, &AsilTargets::spfm, "SPFM"); }
 
-double lfm_target(std::string_view asil) {
-  std::string a = to_lower(trim(asil));
-  if (starts_with(a, "asil-")) a = a.substr(5);
-  else if (starts_with(a, "asil ")) a = a.substr(5);
-  else if (starts_with(a, "asil")) a = a.substr(4);
-  if (a == "qm" || a == "a") return 0.0;
-  if (a == "b") return kLfmTargetAsilB;
-  if (a == "c") return kLfmTargetAsilC;
-  if (a == "d") return kLfmTargetAsilD;
-  throw AnalysisError("unknown ASIL '" + std::string(asil) + "'");
-}
+double lfm_target(std::string_view asil) { return parse_asil(asil).lfm; }
 
 bool meets_asil_lfm(double lfm, std::string_view asil) { return lfm >= lfm_target(asil); }
 
-std::string achieved_asil_lfm(double lfm) {
-  if (lfm >= kLfmTargetAsilD) return "ASIL-D";
-  if (lfm >= kLfmTargetAsilC) return "ASIL-C";
-  if (lfm >= kLfmTargetAsilB) return "ASIL-B";
-  return "ASIL-A";
-}
+std::string achieved_asil_lfm(double lfm) { return achieved(lfm, &AsilTargets::lfm, "LFM"); }
 
 }  // namespace decisive::core

@@ -35,6 +35,13 @@ double parse_fraction(std::string_view text) {
 
 }  // namespace
 
+void check_fit(double fit, std::string_view owner) {
+  if (!std::isfinite(fit) || fit < 0.0) {
+    throw AnalysisError("FIT of '" + std::string(owner) + "' must be a finite number >= 0, got " +
+                        format_number(fit));
+  }
+}
+
 bool component_type_matches(std::string_view a, std::string_view b) noexcept {
   if (iequals(a, b)) return true;
   return in_mcu_group(a) && in_mcu_group(b);
@@ -42,7 +49,7 @@ bool component_type_matches(std::string_view a, std::string_view b) noexcept {
 
 void ReliabilityModel::add(std::string component_type, double fit,
                            std::vector<FailureModeSpec> modes) {
-  if (fit < 0.0) throw AnalysisError("FIT must be non-negative");
+  check_fit(fit, component_type);
   double total = 0.0;
   for (const auto& mode : modes) {
     if (mode.distribution < 0.0 || mode.distribution > 1.0) {

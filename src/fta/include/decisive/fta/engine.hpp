@@ -1,8 +1,8 @@
 // ZBDD minimal-cut-set synthesis over the component flow graph.
 //
-// The seed `core::synthesize_fault_tree` enumerates every input→output path
-// (exponential) and screens k-subsets up to order 3. This engine instead
-// Shannon-decomposes the structure function directly on the flow graph: pick
+// The shipped fault-tree synthesis. Enumerating every input→output path and
+// screening k-subsets of the members (the oracle below) is exponential twice
+// over; this engine instead Shannon-decomposes the structure function directly on the flow graph: pick
 // the first free component on a live path, and the minimal cut sets are
 //   node(c, F[c perfect], F[c failed] \ supersets(F[c perfect]))
 // with two terminal checks per state — "already disconnected" ({∅}) and
@@ -12,8 +12,10 @@
 // subproblems where enumeration explodes.
 //
 // The result is a `core::FaultTree` identical (cut sets, labels, rates) to
-// the oracle's on every input where the oracle completes — enforced by
-// property tests and the bench_ext_fta identity gate.
+// the path-enumeration oracle's (`oracle::synthesize_fault_tree`, in the
+// test-only support library under tests/support) on every input where the
+// oracle completes — enforced by property tests and the bench_ext_fta
+// identity gate.
 #pragma once
 
 #include "decisive/core/fta.hpp"
@@ -30,9 +32,10 @@ struct ZbddFtaOptions {
 };
 
 /// Synthesises the fault tree for the loss of `component`'s function via
-/// ZBDD decomposition. Same contract as `core::synthesize_fault_tree`
-/// (labels, rates, AnalysisError without boundary IONodes) but never
-/// enumerates paths, so dense graphs with order-4/5 cuts stay tractable.
+/// ZBDD decomposition. Basic events are labelled "loss of '<name>'" and carry
+/// core::loss_failure_rate(); a component without boundary IONodes throws
+/// AnalysisError. Never enumerates paths, so dense graphs with order-4/5
+/// cuts stay tractable.
 core::FaultTree synthesize_fault_tree_zbdd(const ssam::SsamModel& ssam,
                                            ssam::ObjectId component,
                                            const ZbddFtaOptions& options = {});

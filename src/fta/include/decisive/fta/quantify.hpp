@@ -1,7 +1,7 @@
 // Exact probabilistic quantification of a synthesised fault tree.
 //
-// The seed quantifies with the rare-event approximation (sum of cut-set
-// probabilities, silently saturated at 1.0). Here the minimal cut family is
+// The rare-event approximation sums the cut-set probabilities (saturated at
+// 1.0). Here the minimal cut family is
 // rebuilt as a ZBDD and evaluated exactly by Shannon decomposition (Rauzy's
 // recursion over the monotone structure function), so overlapping cut sets
 // are not double-counted:

@@ -54,12 +54,6 @@ constexpr const char* kMagic = "decisive-result-cache";
 // `recursive` / `loss_natures` options, so every version-1 key is stale.
 constexpr int kVersion = 2;
 
-core::EffectClass effect_from_token(const std::string& token) {
-  const std::uint64_t value = u64_from_token(token);
-  if (value > 2) throw ParseError("bad effect class '" + token + "'");
-  return static_cast<core::EffectClass>(value);
-}
-
 void write_record(std::ostream& out, const Fingerprint& fp, const UnitRecord& record) {
   out << "entry " << to_hex(fp) << ' ' << record.component << ' ' << escape_token(record.path) << ' '
       << record.subs.size() << '\n';
@@ -67,13 +61,7 @@ void write_record(std::ostream& out, const Fingerprint& fp, const UnitRecord& re
     out << "sub " << sub.sub << ' ' << sub.rows.size() << ' ' << sub.warnings.size() << ' '
         << sub.verdicts.size() << '\n';
     for (const core::FmedaRow& row : sub.rows) {
-      out << "row " << escape_token(row.component) << ' ' << escape_token(row.component_type) << ' '
-          << row.component_id << ' ' << escape_token(row.component_path) << ' '
-          << double_to_token(row.fit) << ' ' << escape_token(row.failure_mode) << ' '
-          << double_to_token(row.distribution) << ' ' << (row.safety_related ? 1 : 0) << ' '
-          << static_cast<int>(row.effect) << ' ' << escape_token(row.safety_mechanism) << ' '
-          << double_to_token(row.sm_coverage) << ' ' << double_to_token(row.sm_cost_hours)
-          << '\n';
+      out << "row " << core::fmeda_row_tokens(row) << '\n';
     }
     for (const std::string& warning : sub.warnings) out << "warn " << escape_token(warning) << '\n';
     for (const core::UnitVerdict& verdict : sub.verdicts) {
@@ -173,21 +161,8 @@ ResultCache::LoadReport ResultCache::load_file(const std::string& path) {
           const std::uint64_t verdicts = u64_from_token(sub_tokens[3]);
           for (std::uint64_t r = 0; r < rows; ++r) {
             const auto t = reader.take("row");
-            if (t.size() != 12) throw ParseError("bad row record");
-            core::FmedaRow row;
-            row.component = unescape_token(t[0]);
-            row.component_type = unescape_token(t[1]);
-            row.component_id = u64_from_token(t[2]);
-            row.component_path = unescape_token(t[3]);
-            row.fit = double_from_token(t[4]);
-            row.failure_mode = unescape_token(t[5]);
-            row.distribution = double_from_token(t[6]);
-            row.safety_related = u64_from_token(t[7]) != 0;
-            row.effect = effect_from_token(t[8]);
-            row.safety_mechanism = unescape_token(t[9]);
-            row.sm_coverage = double_from_token(t[10]);
-            row.sm_cost_hours = double_from_token(t[11]);
-            sub.rows.push_back(std::move(row));
+            if (t.size() != core::kFmedaRowTokenCount) throw ParseError("bad row record");
+            sub.rows.push_back(core::fmeda_row_from_tokens(t, 0));
           }
           for (std::uint64_t w = 0; w < warnings; ++w) {
             const auto t = reader.take("warn");
@@ -198,7 +173,7 @@ ResultCache::LoadReport ResultCache::load_file(const std::string& path) {
             const auto t = reader.take("verdict");
             if (t.size() != 3) throw ParseError("bad verdict record");
             sub.verdicts.push_back(
-                {u64_from_token(t[0]), u64_from_token(t[1]) != 0, effect_from_token(t[2])});
+                {u64_from_token(t[0]), u64_from_token(t[1]) != 0, core::effect_from_token(t[2])});
           }
           record.subs.push_back(std::move(sub));
         }

@@ -13,6 +13,7 @@
 #include "decisive/base/strings.hpp"
 #include "decisive/core/circuit_fmea.hpp"
 #include "decisive/core/impact.hpp"
+#include "decisive/core/reliability.hpp"
 #include "decisive/core/sm_search.hpp"
 #include "decisive/fta/engine.hpp"
 #include "decisive/fta/lfm.hpp"
@@ -220,7 +221,9 @@ class Service {
   void cmd_set_fit(const std::vector<std::string>& tokens) {
     expect_arity(tokens, 3, "set-fit <component> <fit>");
     const ObjectId component = component_named(tokens[1]);
-    model_->obj(component).set_real("fit", parse_double(tokens[2]));
+    const double fit = parse_double(tokens[2]);
+    core::check_fit(fit, tokens[1]);
+    model_->obj(component).set_real("fit", fit);
     session_->note_edit(component);
     out_ << "fit(" << tokens[1] << ") = " << tokens[2] << "\n";
   }

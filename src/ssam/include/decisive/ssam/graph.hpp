@@ -12,10 +12,9 @@
 // The decision procedure is SinglePointAnalysis: a dominator/cut analysis on
 // the flow graph (virtual super-source over the inputs, super-sink over the
 // outputs) that answers "does removing this subcomponent's IONodes sever
-// every input→output connection?" for *all* subcomponents in one pass.
-// enumerate_paths/on_all_paths materialise every simple path and are kept
-// only as a brute-force oracle (property tests) and for cut-set synthesis;
-// they throw on dense graphs where the path count explodes.
+// every input→output connection?" for *all* subcomponents in one pass. The
+// brute-force path-enumeration oracle it is property-tested against lives in
+// the test-only support library (tests/support, `oracle::enumerate_paths`).
 #pragma once
 
 #include <map>
@@ -77,8 +76,7 @@ class SinglePointAnalysis {
   explicit SinglePointAnalysis(const ComponentGraph& graph);
 
   /// True when at least one input→output connection exists. When false, no
-  /// subcomponent is a single point (matching on_all_paths on an empty path
-  /// set).
+  /// subcomponent is a single point.
   [[nodiscard]] bool has_path() const noexcept { return has_path_; }
 
   /// True when removing `subcomponent`'s IONodes severs every connection.
@@ -94,17 +92,5 @@ class SinglePointAnalysis {
   size_t live_nodes_ = 0;
   std::map<ObjectId, bool> verdict_;  ///< per owning subcomponent
 };
-
-/// Enumerates all simple paths from any input to any output, as sequences of
-/// IONodes. Throws AnalysisError when more than `max_paths` exist (guards
-/// against combinatorial blow-up on dense graphs). Retained as the oracle for
-/// SinglePointAnalysis and for minimal-cut-set synthesis — not a decision
-/// procedure for the FMEA.
-std::vector<std::vector<ObjectId>> enumerate_paths(const ComponentGraph& graph,
-                                                   size_t max_paths = 100000);
-
-/// True when `subcomponent` owns at least one IONode on *every* path.
-bool on_all_paths(const ComponentGraph& graph,
-                  const std::vector<std::vector<ObjectId>>& paths, ObjectId subcomponent);
 
 }  // namespace decisive::ssam

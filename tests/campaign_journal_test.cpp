@@ -141,7 +141,12 @@ TEST(CampaignJournalFormat, RowTokensRoundTripEveryField) {
   row.ladder_rung = 2;
   row.retries = 1;
 
-  const std::vector<std::string> tokens = split(core::journal_row_tokens(row), ' ');
+  const std::string journal_tokens = core::journal_row_tokens(row);
+  const std::vector<std::string> tokens = split(journal_tokens, ' ');
+  // One row codec: the journal row is the shared FmedaRow tokens (also the
+  // session cache's row record) followed by five campaign-outcome fields.
+  EXPECT_EQ(journal_tokens.rfind(core::fmeda_row_tokens(row) + ' ', 0), 0u);
+  EXPECT_EQ(tokens.size(), core::kFmedaRowTokenCount + 5);
   const core::FmedaRow back = core::journal_row_from_tokens(tokens, 0);
   EXPECT_EQ(back.component, row.component);
   EXPECT_EQ(back.component_type, row.component_type);

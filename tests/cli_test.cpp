@@ -579,6 +579,59 @@ TEST(Cli, JournaledRunSurvivesSigkillAndResumesByteIdentical) {
   EXPECT_EQ(plain_bytes, slurp(resumed_csv));
 }
 
+TEST(Cli, JournalWrittenWithoutSmModelIsNotReplayedUnderOne) {
+  // The journal rows carry the SM decoration, so a journal written without
+  // --sm-model must not resume a --sm-model run: replaying it would report
+  // the undecorated 5.38% -> ASIL-A instead of 96.77% -> ASIL-B.
+  TempDir tmp;
+  const auto fresh_csv = (tmp.path / "fresh.csv").string();
+  const auto resumed_csv = (tmp.path / "resumed.csv").string();
+  const auto journal = (tmp.path / "plain.journal").string();
+  const std::string plain_args = "fmea " + kAssets + "/power_supply.mdl --reliability " +
+                                 kAssets + "/reliability_workbook --goals CS1,MC1";
+  ASSERT_EQ(run(plain_args + " --journal " + journal).exit_code, 0);
+
+  const auto resumed = run(fmea_args() + " --journal " + journal + " --out " + resumed_csv);
+  EXPECT_EQ(resumed.exit_code, 0) << resumed.output;
+  EXPECT_NE(resumed.output.find("SPFM = 96.77%  ->  ASIL-B"), std::string::npos)
+      << resumed.output;
+  ASSERT_EQ(run(fmea_args() + " --out " + fresh_csv).exit_code, 0);
+  const std::string fresh_bytes = slurp(fresh_csv);
+  ASSERT_FALSE(fresh_bytes.empty());
+  EXPECT_EQ(fresh_bytes, slurp(resumed_csv));
+}
+
+TEST(Cli, FmeaRejectsNonFiniteAndOverflowingFits) {
+  // A workbook FIT that is not a finite number >= 0 never reaches an ASIL,
+  // and neither does a pair of finite FITs whose sum overflows.
+  TempDir tmp;
+  const auto workbook = tmp.path / "workbook";
+  std::filesystem::create_directories(workbook);
+  std::filesystem::copy_file(kAssets + "/reliability_workbook/SafetyMechanisms.csv",
+                             workbook / "SafetyMechanisms.csv");
+  const auto run_with = [&](const std::string& diode_fit, const std::string& mc_fit) {
+    std::ofstream(workbook / "Reliability.csv", std::ios::trunc)
+        << "Component,FIT,Failure_Mode,Distribution\n"
+        << "Diode," << diode_fit << ",Open,30%\n,,Short,70%\n"
+        << "Capacitor,2,Open,30%\n,,Short,70%\n"
+        << "Inductor,15,Open,30%\n,,Short,70%\n"
+        << "MC," << mc_fit << ",RAM Failure,100%\n";
+    return run("fmea " + kAssets + "/power_supply.mdl --reliability " + workbook.string() +
+               " --sm-model --goals CS1,MC1");
+  };
+  for (const char* fit : {"nan", "inf", "-5"}) {
+    const auto result = run_with("10", fit);
+    EXPECT_NE(result.exit_code, 0) << fit << "\n" << result.output;
+    EXPECT_NE(result.output.find("FIT of 'MC' must be a finite number >= 0"), std::string::npos)
+        << result.output;
+    EXPECT_EQ(result.output.find("ASIL"), std::string::npos) << result.output;
+  }
+  const auto overflow = run_with("1e308", "1e308");
+  EXPECT_NE(overflow.exit_code, 0) << overflow.output;
+  EXPECT_NE(overflow.output.find("FIT sum is not finite"), std::string::npos) << overflow.output;
+  EXPECT_EQ(overflow.output.find("ASIL-D"), std::string::npos) << overflow.output;
+}
+
 TEST(Cli, ShardedJournalsMergeToTheUnshardedFmeda) {
   TempDir tmp;
   const auto plain_csv = (tmp.path / "plain.csv").string();

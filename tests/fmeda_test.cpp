@@ -2,6 +2,8 @@
 // (paper Equation 1 and the SPFM targets).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "decisive/base/error.hpp"
 #include "decisive/core/campaign.hpp"
 #include "decisive/core/fmeda.hpp"
@@ -162,6 +164,66 @@ TEST(Asil, MeetsAndAchieved) {
   EXPECT_EQ(achieved_asil(0.98), "ASIL-C");
   EXPECT_EQ(achieved_asil(0.9), "ASIL-B");
   EXPECT_EQ(achieved_asil(0.3), "ASIL-A");
+}
+
+TEST(Asil, LadderTableCoversBothMetrics) {
+  // One ladder: each ASIL name parses to both targets, and each value maps
+  // to the most stringent rung it meets, at and just below every threshold.
+  struct Level {
+    const char* name;
+    double spfm;
+    double lfm;
+  };
+  for (const Level& level : {Level{"ASIL-D", 0.99, 0.90}, Level{"asil c", 0.97, 0.80},
+                             Level{"B", 0.90, 0.60}, Level{"ASIL-A", 0.0, 0.0},
+                             Level{"qm", 0.0, 0.0}}) {
+    EXPECT_DOUBLE_EQ(spfm_target(level.name), level.spfm) << level.name;
+    EXPECT_DOUBLE_EQ(lfm_target(level.name), level.lfm) << level.name;
+  }
+  EXPECT_THROW(lfm_target("ASIL-E"), AnalysisError);
+  EXPECT_THROW(lfm_target("ASIL-"), AnalysisError);
+
+  struct Case {
+    double value;
+    const char* spfm_asil;
+    const char* lfm_asil;
+  };
+  for (const Case& c : {Case{1.0, "ASIL-D", "ASIL-D"}, Case{0.99, "ASIL-D", "ASIL-D"},
+                        Case{0.985, "ASIL-C", "ASIL-D"}, Case{0.97, "ASIL-C", "ASIL-D"},
+                        Case{0.95, "ASIL-B", "ASIL-D"}, Case{0.90, "ASIL-B", "ASIL-D"},
+                        Case{0.85, "ASIL-A", "ASIL-C"}, Case{0.80, "ASIL-A", "ASIL-C"},
+                        Case{0.70, "ASIL-A", "ASIL-B"}, Case{0.60, "ASIL-A", "ASIL-B"},
+                        Case{0.59, "ASIL-A", "ASIL-A"}, Case{0.0, "ASIL-A", "ASIL-A"}}) {
+    EXPECT_EQ(achieved_asil(c.value), c.spfm_asil) << c.value;
+    EXPECT_EQ(achieved_asil_lfm(c.value), c.lfm_asil) << c.value;
+    EXPECT_TRUE(meets_asil(c.value, c.spfm_asil)) << c.value;
+    EXPECT_TRUE(meets_asil_lfm(c.value, c.lfm_asil)) << c.value;
+  }
+  // Below even ASIL-A's zero target still reads ASIL-A.
+  EXPECT_EQ(achieved_asil(-0.1), "ASIL-A");
+  EXPECT_EQ(achieved_asil_lfm(-0.1), "ASIL-A");
+}
+
+TEST(Asil, NonFiniteMetricGetsNoAsil) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)achieved_asil(bad), AnalysisError) << bad;
+    EXPECT_THROW((void)achieved_asil_lfm(bad), AnalysisError) << bad;
+  }
+}
+
+TEST(Fmeda, NonFiniteFitSumRaisesInsteadOfAnAsil) {
+  // Two FITs of 1e308 overflow the safety-related sum: no SPFM, no ASIL.
+  FmedaResult overflow;
+  overflow.rows = {row("A", 1e308, "Open", 1.0, true), row("B", 1e308, "Open", 1.0, true)};
+  EXPECT_THROW((void)overflow.spfm(), AnalysisError);
+  EXPECT_THROW((void)overflow.asil_label(), AnalysisError);
+  // A NaN FIT poisons both sums.
+  FmedaResult nan_fit;
+  nan_fit.rows = {row("A", std::numeric_limits<double>::quiet_NaN(), "Open", 1.0, true)};
+  EXPECT_THROW((void)nan_fit.spfm(), AnalysisError);
+  EXPECT_THROW((void)nan_fit.asil_label(), AnalysisError);
 }
 
 TEST(EffectClass, Names) {

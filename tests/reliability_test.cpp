@@ -47,6 +47,24 @@ TEST(ReliabilityModel, RejectsInvalidData) {
   EXPECT_THROW(model.add("X", 10, {{"A", 0.7}, {"B", 0.7}}), AnalysisError);  // sum > 1
 }
 
+TEST(ReliabilityModel, FitMustBeFiniteAndNonNegative) {
+  // Workbook rows whose FIT is not a finite number >= 0 are rejected at load
+  // time (NaN compares false against any bound, so `fit < 0` alone lets it in).
+  for (const char* fit : {"nan", "inf", "-inf", "-5"}) {
+    const std::string csv = std::string("Component,FIT,Failure_Mode,Distribution\nMC,") + fit +
+                            ",RAM Failure,100%\n";
+    EXPECT_THROW(ReliabilityModel::from_table(parse_csv(csv)), AnalysisError) << fit;
+  }
+  // 1e308 is in the domain; the overflow of the FMEDA's FIT sums is caught
+  // by FmedaResult::spfm() instead.
+  const auto model = ReliabilityModel::from_table(parse_csv(
+      "Component,FIT,Failure_Mode,Distribution\nMC,1e308,RAM Failure,100%\n"
+      "Diode,1e308,Open,100%\n"));
+  EXPECT_EQ(model.find("MC")->fit, 1e308);
+  EXPECT_NO_THROW(check_fit(0.0, "X"));
+  EXPECT_THROW(check_fit(-0.5, "X"), AnalysisError);
+}
+
 TEST(ReliabilityModel, FromTableWithContinuationRows) {
   const auto table = parse_csv(
       "Component,FIT,Failure_Mode,Distribution\n"

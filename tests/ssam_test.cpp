@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "decisive/base/error.hpp"
+#include "decisive/oracle/paths.hpp"
 #include "decisive/ssam/graph.hpp"
 #include "decisive/ssam/metamodel.hpp"
 #include "decisive/ssam/model.hpp"
@@ -200,6 +201,16 @@ struct GraphFixture {
   }
 };
 
+using Paths = std::vector<std::vector<ObjectId>>;
+
+/// The shipped single-point verdict, after checking that the brute-force
+/// path oracle agrees on the same graph.
+bool single_point(const ComponentGraph& graph, const Paths& paths, ObjectId subcomponent) {
+  const bool verdict = SinglePointAnalysis(graph).is_single_point(subcomponent);
+  EXPECT_EQ(verdict, oracle::on_all_paths(graph, paths, subcomponent));
+  return verdict;
+}
+
 }  // namespace
 
 TEST(Graph, SerialChainHasSinglePath) {
@@ -211,10 +222,10 @@ TEST(Graph, SerialChainHasSinglePath) {
   f.m.connect(f.sys, b.out, f.out);
 
   const auto graph = build_graph(f.m, f.sys);
-  const auto paths = enumerate_paths(graph);
+  const auto paths = oracle::enumerate_paths(graph);
   ASSERT_EQ(paths.size(), 1u);
-  EXPECT_TRUE(on_all_paths(graph, paths, a.comp));
-  EXPECT_TRUE(on_all_paths(graph, paths, b.comp));
+  EXPECT_TRUE(single_point(graph, paths, a.comp));
+  EXPECT_TRUE(single_point(graph, paths, b.comp));
 }
 
 TEST(Graph, ParallelBranchesAreNotSinglePoint) {
@@ -227,10 +238,10 @@ TEST(Graph, ParallelBranchesAreNotSinglePoint) {
   f.m.connect(f.sys, b.out, f.out);
 
   const auto graph = build_graph(f.m, f.sys);
-  const auto paths = enumerate_paths(graph);
+  const auto paths = oracle::enumerate_paths(graph);
   EXPECT_EQ(paths.size(), 2u);
-  EXPECT_FALSE(on_all_paths(graph, paths, a.comp));
-  EXPECT_FALSE(on_all_paths(graph, paths, b.comp));
+  EXPECT_FALSE(single_point(graph, paths, a.comp));
+  EXPECT_FALSE(single_point(graph, paths, b.comp));
 }
 
 TEST(Graph, DiamondMiddleIsNotSinglePointButEndsAre) {
@@ -247,12 +258,12 @@ TEST(Graph, DiamondMiddleIsNotSinglePointButEndsAre) {
   f.m.connect(f.sys, tail.out, f.out);
 
   const auto graph = build_graph(f.m, f.sys);
-  const auto paths = enumerate_paths(graph);
+  const auto paths = oracle::enumerate_paths(graph);
   EXPECT_EQ(paths.size(), 2u);
-  EXPECT_TRUE(on_all_paths(graph, paths, head.comp));
-  EXPECT_TRUE(on_all_paths(graph, paths, tail.comp));
-  EXPECT_FALSE(on_all_paths(graph, paths, left.comp));
-  EXPECT_FALSE(on_all_paths(graph, paths, right.comp));
+  EXPECT_TRUE(single_point(graph, paths, head.comp));
+  EXPECT_TRUE(single_point(graph, paths, tail.comp));
+  EXPECT_FALSE(single_point(graph, paths, left.comp));
+  EXPECT_FALSE(single_point(graph, paths, right.comp));
 }
 
 TEST(Graph, CyclesDoNotHangEnumeration) {
@@ -264,8 +275,10 @@ TEST(Graph, CyclesDoNotHangEnumeration) {
   f.m.connect(f.sys, b.out, a.in);  // feedback loop
   f.m.connect(f.sys, b.out, f.out);
   const auto graph = build_graph(f.m, f.sys);
-  const auto paths = enumerate_paths(graph);
+  const auto paths = oracle::enumerate_paths(graph);
   EXPECT_EQ(paths.size(), 1u);  // simple paths only
+  EXPECT_TRUE(single_point(graph, paths, a.comp));
+  EXPECT_TRUE(single_point(graph, paths, b.comp));
 }
 
 TEST(Graph, MissingBoundaryNodesThrows) {
@@ -292,7 +305,7 @@ TEST(Graph, PathExplosionGuard) {
   }
   f.m.connect(f.sys, previous, f.out);
   const auto graph = build_graph(f.m, f.sys);
-  EXPECT_THROW(enumerate_paths(graph, /*max_paths=*/1000), AnalysisError);
+  EXPECT_THROW(oracle::enumerate_paths(graph, /*max_paths=*/1000), AnalysisError);
 }
 
 TEST(Graph, ParseDirectionAcceptsKnownSpellings) {
@@ -329,9 +342,9 @@ TEST(Graph, InoutSubNodeGetsNoSelfThroughEdge) {
   if (it != graph.edges.end()) {
     for (const ObjectId target : it->second) EXPECT_NE(target, xio);
   }
-  const auto paths = enumerate_paths(graph);
+  const auto paths = oracle::enumerate_paths(graph);
   ASSERT_EQ(paths.size(), 1u);
-  EXPECT_TRUE(on_all_paths(graph, paths, x));
+  EXPECT_TRUE(single_point(graph, paths, x));
 }
 
 TEST(Graph, UnknownDirectionThrowsNamingTheNode) {

@@ -66,6 +66,11 @@ run_case fmea_jobs1 "same $FMEA --jobs 1 --out fmeda.csv"
 run_case fmea_jobs4 "same $FMEA --jobs 4 --out fmeda.csv"
 run_case fmea_sm_jobs1 "same $FMEA --sm-model --jobs 1 --out fmeda.csv"
 run_case fmea_sm_jobs4 "same $FMEA --sm-model --jobs 4 --out fmeda.csv"
+# A journal written without --sm-model must not be replayed under it: the
+# second run's CSV equals fmea_sm_jobs1's.
+run_case fmea_sm_after_plain_journal "
+  same $FMEA --jobs 1 --journal c.journal > /dev/null
+  same $FMEA --sm-model --jobs 1 --journal c.journal --out fmeda.csv"
 run_case merge_journals "
   same $FMEA --sm-model --shard 0/2 --journal shard0.journal
   same $FMEA --sm-model --shard 1/2 --journal shard1.journal

@@ -1,9 +1,11 @@
-// Tests for SSAM structural validation and the FTA importance measures.
+// Tests for SSAM structural validation and the FTA importance measures
+// (fta::quantify, exact closed forms).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "decisive/core/fta.hpp"
+#include "decisive/fta/engine.hpp"
+#include "decisive/fta/quantify.hpp"
 #include "decisive/ssam/validate.hpp"
 
 using namespace decisive;
@@ -162,6 +164,11 @@ struct FtaFixture {
   }
 };
 
+/// Failure probability of a `fit` FIT loss mode over `hours`.
+double failure_probability(double fit, double hours) {
+  return 1.0 - std::exp(-fit * 1e-9 * hours);
+}
+
 }  // namespace
 
 TEST(Importance, SerialEventsShareBirnbaumOne) {
@@ -171,16 +178,23 @@ TEST(Importance, SerialEventsShareBirnbaumOne) {
   f.m.connect(f.sys, f.in, a.in);
   f.m.connect(f.sys, a.out, b.in);
   f.m.connect(f.sys, b.out, f.out);
-  const auto tree = core::synthesize_fault_tree(f.m, f.sys);
-  const auto importance = core::importance_measures(tree, 10000.0);
+  const double t = 10000.0;
+  const auto q = fta::quantify(fta::synthesize_fault_tree_zbdd(f.m, f.sys), t);
+  const auto& importance = q.importance;
   ASSERT_EQ(importance.size(), 2u);
-  // Order-1 cuts: Birnbaum = 1 (the event alone decides).
-  for (const auto& imp : importance) EXPECT_NEAR(imp.birnbaum, 1.0, 1e-12);
-  // The higher-rate component dominates Fussell-Vesely.
+  // P(top) = 1 - (1 - p_a)(1 - p_b). An order-1 cut decides alone unless
+  // its partner has already failed: B_a = 1 - p_b, B_b = 1 - p_a.
+  const double pa = failure_probability(1000, t);
+  const double pb = failure_probability(100, t);
+  const double top = 1.0 - (1.0 - pa) * (1.0 - pb);
+  EXPECT_NEAR(q.exact_probability, top, 1e-15);
+  // The higher-rate component dominates Fussell-Vesely: FV_x = p_x / P(top).
   EXPECT_NE(importance[0].label.find("'a'"), std::string::npos);
+  EXPECT_NEAR(importance[0].birnbaum, 1.0 - pb, 1e-12);
+  EXPECT_NEAR(importance[1].birnbaum, 1.0 - pa, 1e-12);
+  EXPECT_NEAR(importance[0].fussell_vesely, pa / top, 1e-12);
+  EXPECT_NEAR(importance[1].fussell_vesely, pb / top, 1e-12);
   EXPECT_GT(importance[0].fussell_vesely, importance[1].fussell_vesely);
-  // FV fractions sum to 1 for disjoint single cuts under rare-event approx.
-  EXPECT_NEAR(importance[0].fussell_vesely + importance[1].fussell_vesely, 1.0, 1e-9);
 }
 
 TEST(Importance, RedundantPairBirnbaumIsPartnerProbability) {
@@ -191,13 +205,13 @@ TEST(Importance, RedundantPairBirnbaumIsPartnerProbability) {
   f.m.connect(f.sys, f.in, b.in);
   f.m.connect(f.sys, a.out, f.out);
   f.m.connect(f.sys, b.out, f.out);
-  const auto tree = core::synthesize_fault_tree(f.m, f.sys);
   const double t = 10000.0;
-  const double p = 1.0 - std::exp(-1e-6 * t);
-  const auto importance = core::importance_measures(tree, t);
-  ASSERT_EQ(importance.size(), 2u);
-  for (const auto& imp : importance) {
-    EXPECT_NEAR(imp.birnbaum, p, 1e-12);         // decisive only when twin is down
+  const double p = failure_probability(1000, t);
+  const auto q = fta::quantify(fta::synthesize_fault_tree_zbdd(f.m, f.sys), t);
+  ASSERT_EQ(q.importance.size(), 2u);
+  EXPECT_NEAR(q.exact_probability, p * p, 1e-15);
+  for (const auto& imp : q.importance) {
+    EXPECT_NEAR(imp.birnbaum, p, 1e-12);          // decisive only when twin is down
     EXPECT_NEAR(imp.fussell_vesely, 1.0, 1e-12);  // the single cut contains both
   }
 }
@@ -212,8 +226,7 @@ TEST(Importance, MixedTopologyRanksSerialAboveRedundant) {
   f.m.connect(f.sys, head.out, right.in);
   f.m.connect(f.sys, left.out, f.out);
   f.m.connect(f.sys, right.out, f.out);
-  const auto tree = core::synthesize_fault_tree(f.m, f.sys);
-  const auto importance = core::importance_measures(tree, 10000.0);
-  ASSERT_EQ(importance.size(), 3u);
-  EXPECT_NE(importance[0].label.find("'head'"), std::string::npos);
+  const auto q = fta::quantify(fta::synthesize_fault_tree_zbdd(f.m, f.sys), 10000.0);
+  ASSERT_EQ(q.importance.size(), 3u);
+  EXPECT_NE(q.importance[0].label.find("'head'"), std::string::npos);
 }
