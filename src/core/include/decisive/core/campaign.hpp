@@ -118,4 +118,11 @@ class CampaignRunner {
 /// verify warnings and CSV always agree.
 [[nodiscard]] std::string outcome_warning(const FmedaRow& row);
 
+/// The campaign's assemble step, shared by CampaignRunner::run and
+/// merge_campaign_journals so a merged FMEDA is byte-identical to an
+/// unsharded run: `warnings` first (skip and best-effort notes), then one
+/// outcome_warning per row in task order, then the degenerate-SPFM note.
+[[nodiscard]] FmedaResult assemble_campaign_result(std::vector<std::string> warnings,
+                                                   std::vector<FmedaRow> rows);
+
 }  // namespace decisive::core

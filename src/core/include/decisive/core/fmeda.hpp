@@ -152,6 +152,10 @@ struct FmedaResult {
   /// "no safety-related hardware" otherwise — never a vacuous ASIL-D claim.
   [[nodiscard]] std::string asil_label() const;
 
+  /// Appends the degenerate-SPFM warning when no row is safety-related: the
+  /// note every FMEDA producer ends its warnings with.
+  void warn_if_no_safety_related();
+
   /// Rows for one component, by display name (matches every identity sharing
   /// the name).
   [[nodiscard]] std::vector<const FmedaRow*> rows_of(std::string_view component) const;

@@ -35,7 +35,7 @@ struct ComponentReliability {
 class ReliabilityModel {
  public:
   /// Adds (or extends) an entry. Throws AnalysisError when a distribution is
-  /// outside [0,1] or the FIT fails check_fit.
+  /// not in [0,1] (NaN included) or the FIT fails check_fit.
   void add(std::string component_type, double fit, std::vector<FailureModeSpec> modes);
 
   /// Lookup by type; nullptr when unknown.

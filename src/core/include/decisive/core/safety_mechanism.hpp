@@ -25,8 +25,8 @@ struct SafetyMechanismSpec {
 
 class SafetyMechanismModel {
  public:
-  /// Adds an entry; throws AnalysisError for coverage outside [0,1] or
-  /// negative cost.
+  /// Adds an entry; throws AnalysisError unless the coverage is in [0,1]
+  /// and the cost a finite number >= 0 (NaN fails both).
   void add(SafetyMechanismSpec spec);
 
   /// All mechanisms applicable to (component type, failure mode), in

@@ -13,7 +13,9 @@
 // count, so the result is byte-identical for any `jobs` value; `epsilon`
 // trades exactness for a bounded front size on pathological catalogues. The
 // seed-era exhaustive enumerator survives as `pareto_front_exhaustive`, the
-// property-test oracle.
+// property-test oracle. The min-cost deployment for a target ASIL is read off
+// the same front (`optimal_reach_asil`); `greedy_reach_asil` is the fast
+// heuristic that analysts and the iterative process use by default.
 #pragma once
 
 #include <optional>
@@ -106,30 +108,24 @@ std::vector<Deployment> pareto_front_exhaustive(const FmedaResult& fmea,
 /// the given catalogue. The input FMEA must be *undeployed* (rows may
 /// already carry mechanisms; they are treated as fixed). The loop and the
 /// trim pass both maintain the residual FIT incrementally: one move costs
-/// O(1), not O(rows). Always optimises the classic SPFM objective —
-/// row_weights apply to the Pareto engines only.
+/// O(1), not O(rows). "Met" is confirmed on the canonical SPFM the result
+/// reports, so a returned deployment always satisfies `spfm >= target` and
+/// nullopt means no deployment reaches it. Always optimises the classic
+/// SPFM objective — row_weights apply to the Pareto engines only.
 std::optional<Deployment> greedy_reach_asil(const FmedaResult& fmea,
                                             const SafetyMechanismModel& catalogue,
                                             std::string_view target_asil);
 
-/// Knobs of the branch-and-bound optimal search.
-struct OptimalOptions {
-  /// Hard cap on expanded search nodes; exceeding it throws AnalysisError
-  /// (the greedy result is always available as a fallback). 0 = unbounded.
-  size_t max_nodes = 20'000'000;
-};
-
-/// Provably min-cost deployment meeting the SPFM target of `target_asil`:
-/// depth-first branch-and-bound over the open rows (most residual-reduction
-/// potential first) with the greedy result as the incumbent, a per-row
-/// best-remaining-coverage feasibility bound, and a fractional
-/// reduction-per-cost lower bound on the remaining cost. Never returns a
-/// costlier deployment than `greedy_reach_asil`; nullopt exactly when the
-/// greedy search is nullopt (the target is unreachable).
+/// Min-cost deployment meeting the SPFM target of `target_asil`: the first
+/// point of the exact `pareto_front` (epsilon 0) whose reported SPFM is >=
+/// the target, or nullopt when the front has none. Costs follow the front's
+/// tie rule (equal-value deployments keep the fewest-choices
+/// representative), and the target is tested on the reported SPFM, the same
+/// value `achieved_asil` grades. Never costlier than `greedy_reach_asil`
+/// outside the tolerance grid's boundary ties (DESIGN.md §11).
 std::optional<Deployment> optimal_reach_asil(const FmedaResult& fmea,
                                              const SafetyMechanismModel& catalogue,
-                                             std::string_view target_asil,
-                                             const OptimalOptions& options = {});
+                                             std::string_view target_asil);
 
 /// CSV rendering of a front: Cost(hrs), SPFM, ASIL, Choices, Deployment.
 /// Shared by `same sm-search --out` and the session `pareto` request so both

@@ -456,9 +456,9 @@ FmedaResult CampaignRunner::run() const {
   // can reassemble the unsharded view.
   obs::set_shard_identity({execution.shard_index, execution.shard_count});
 
-  FmedaResult result;
-  result.system = "circuit";
-  result.warnings = skip_warnings_;
+  // Warnings that precede the rows: the skip notes, then any best-effort
+  // degradation note.
+  std::vector<std::string> warnings = skip_warnings_;
 
   // This shard's slice of the task list; `rows`/`done` are indexed by
   // position within the slice, records in the journal by global task index.
@@ -482,7 +482,7 @@ FmedaResult CampaignRunner::run() const {
 
   // Resume: replay the journal's checkpointed tasks, then keep appending to
   // its valid prefix. Replay/trim notes go to the log, NOT to
-  // result.warnings — a resumed run must stay byte-identical to an
+  // the FMEDA's warnings — a resumed run must stay byte-identical to an
   // uninterrupted one.
   std::unique_ptr<CampaignJournal> journal;
   if (!execution.journal_path.empty()) {
@@ -566,7 +566,7 @@ FmedaResult CampaignRunner::run() const {
         done[s] = 1;
         reporter.task_done(0, to_string(row.outcome));
       }
-      result.warnings.push_back(detail + "; best-effort: " +
+      warnings.push_back(detail + "; best-effort: " +
                                 std::to_string(pending.size()) +
                                 " fault(s) degraded to NotApplicable");
       pending.clear();
@@ -665,19 +665,25 @@ FmedaResult CampaignRunner::run() const {
     }
   }
 
-  // Step 3: assemble — derive the display warnings from the structured
-  // outcomes, in task order (single source of truth: the rows themselves).
-  for (auto& row : rows) {
+  // Step 3: assemble.
+  FmedaResult result = assemble_campaign_result(std::move(warnings), std::move(rows));
+  reporter.finish();
+  return result;
+}
+
+FmedaResult assemble_campaign_result(std::vector<std::string> warnings,
+                                     std::vector<FmedaRow> rows) {
+  // The display warnings derive from the structured outcomes, in task order
+  // (single source of truth: the rows themselves).
+  FmedaResult result;
+  result.system = "circuit";
+  result.warnings = std::move(warnings);
+  result.rows = std::move(rows);
+  for (const FmedaRow& row : result.rows) {
     std::string warning = outcome_warning(row);
     if (!warning.empty()) result.warnings.push_back(std::move(warning));
-    result.rows.push_back(std::move(row));
   }
-  if (!result.has_safety_related()) {
-    result.warnings.push_back(
-        "no safety-related hardware identified; the SPFM denominator is empty and spfm() "
-        "reports 1.0 by convention — this is not an ASIL-D claim");
-  }
-  reporter.finish();
+  result.warn_if_no_safety_related();
   return result;
 }
 

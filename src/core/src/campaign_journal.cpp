@@ -274,23 +274,10 @@ FmedaResult merge_campaign_journals(const std::vector<std::string>& paths) {
         "); resume the incomplete shard(s) before merging");
   }
 
-  // Assemble exactly as CampaignRunner::run() does: skip warnings first,
-  // then rows (and their derived warnings) in global task order, then the
-  // degenerate-SPFM note.
-  FmedaResult result;
-  result.system = "circuit";
-  result.warnings = skip_warnings;
-  for (auto& [index, row] : rows) {
-    std::string warning = outcome_warning(row);
-    if (!warning.empty()) result.warnings.push_back(std::move(warning));
-    result.rows.push_back(std::move(row));
-  }
-  if (!result.has_safety_related()) {
-    result.warnings.push_back(
-        "no safety-related hardware identified; the SPFM denominator is empty and spfm() "
-        "reports 1.0 by convention — this is not an ASIL-D claim");
-  }
-  return result;
+  std::vector<FmedaRow> ordered;
+  ordered.reserve(rows.size());
+  for (auto& [index, row] : rows) ordered.push_back(std::move(row));
+  return assemble_campaign_result(std::move(skip_warnings), std::move(ordered));
 }
 
 }  // namespace decisive::core

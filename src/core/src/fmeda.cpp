@@ -151,6 +151,13 @@ std::string FmedaResult::asil_label() const {
   return achieved_asil(spfm());
 }
 
+void FmedaResult::warn_if_no_safety_related() {
+  if (has_safety_related()) return;
+  warnings.push_back(
+      "no safety-related hardware identified; the SPFM denominator is empty and spfm() "
+      "reports 1.0 by convention — this is not an ASIL-D claim");
+}
+
 std::vector<const FmedaRow*> FmedaResult::rows_of(std::string_view component) const {
   std::vector<const FmedaRow*> out;
   for (const auto& row : rows) {

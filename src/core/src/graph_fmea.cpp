@@ -524,11 +524,7 @@ void finish_run(SsamModel& ssam, ObjectId component, RunState& run,
   if (stats != nullptr) stats->emit_seconds = seconds_since(emit_start);
 
   result.system = ssam.obj(component).get_string("name");
-  if (!result.has_safety_related()) {
-    result.warnings.push_back(
-        "no safety-related hardware identified; the SPFM denominator is empty and spfm() "
-        "reports 1.0 by convention — this is not an ASIL-D claim");
-  }
+  result.warn_if_no_safety_related();
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "decisive/core/reliability.hpp"
 
-#include <cmath>
-
+#include "decisive/base/domain.hpp"
 #include "decisive/base/error.hpp"
 #include "decisive/base/strings.hpp"
 
@@ -36,10 +35,7 @@ double parse_fraction(std::string_view text) {
 }  // namespace
 
 void check_fit(double fit, std::string_view owner) {
-  if (!std::isfinite(fit) || fit < 0.0) {
-    throw AnalysisError("FIT of '" + std::string(owner) + "' must be a finite number >= 0, got " +
-                        format_number(fit));
-  }
+  check_non_negative<AnalysisError>(fit, "FIT", owner);
 }
 
 bool component_type_matches(std::string_view a, std::string_view b) noexcept {
@@ -52,10 +48,7 @@ void ReliabilityModel::add(std::string component_type, double fit,
   check_fit(fit, component_type);
   double total = 0.0;
   for (const auto& mode : modes) {
-    if (mode.distribution < 0.0 || mode.distribution > 1.0) {
-      throw AnalysisError("failure-mode distribution of '" + mode.name +
-                          "' must be in [0,1], got " + format_number(mode.distribution));
-    }
+    check_share<AnalysisError>(mode.distribution, "failure-mode distribution", mode.name);
     total += mode.distribution;
   }
   if (total > 1.0 + 1e-9) {

@@ -1,5 +1,6 @@
 #include "decisive/core/safety_mechanism.hpp"
 
+#include "decisive/base/domain.hpp"
 #include "decisive/base/error.hpp"
 #include "decisive/base/strings.hpp"
 #include "decisive/core/reliability.hpp"
@@ -7,12 +8,8 @@
 namespace decisive::core {
 
 void SafetyMechanismModel::add(SafetyMechanismSpec spec) {
-  if (spec.coverage < 0.0 || spec.coverage > 1.0) {
-    throw AnalysisError("safety-mechanism coverage must be in [0,1]");
-  }
-  if (spec.cost_hours < 0.0) {
-    throw AnalysisError("safety-mechanism cost must be non-negative");
-  }
+  check_share<AnalysisError>(spec.coverage, "safety-mechanism coverage", spec.name);
+  check_non_negative<AnalysisError>(spec.cost_hours, "safety-mechanism cost", spec.name);
   entries_.push_back(std::move(spec));
 }
 

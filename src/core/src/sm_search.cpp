@@ -14,9 +14,10 @@
 //    as the property-test oracle, with the front kept in a cost-sorted map
 //    so each dominance check is O(log n).
 //  - greedy_reach_asil: gain-per-cost greedy with O(1)-per-move residual
-//    updates in both the deploy loop and the trim pass.
-//  - optimal_reach_asil: branch-and-bound min-cost search seeded with the
-//    greedy incumbent.
+//    updates in both the deploy loop and the trim pass; "target met" is
+//    confirmed on the canonical SPFM it reports.
+//  - optimal_reach_asil: a scan of the exact front for its cheapest point
+//    meeting the target — no second exact engine.
 //
 // Tie handling: (cost, residual) values are compared on a tolerance grid of
 // 1e-9 relative to the axis scale (max total cost / undeployed residual), so
@@ -28,7 +29,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <thread>
 #include <utility>
@@ -69,26 +69,20 @@ struct SearchMetrics {
   obs::Counter& labels;        ///< candidate labels expanded across merges
   obs::Counter& labels_pruned; ///< labels discarded by dominance/epsilon
   obs::Counter& merges;        ///< merge-tree nodes folded
-  obs::Counter& bnb_nodes;     ///< branch-and-bound nodes expanded
-  obs::Counter& bnb_pruned;    ///< branch-and-bound subtrees pruned
   obs::Gauge& front_size;      ///< size of the last computed front
   obs::Histogram& pareto_seconds;
   obs::Histogram& merge_seconds;
   obs::Histogram& greedy_seconds;
-  obs::Histogram& bnb_seconds;
 
   static SearchMetrics& get() {
     auto& r = obs::Registry::global();
     static SearchMetrics m{r.counter("decisive_sm_search_labels_total"),
                            r.counter("decisive_sm_search_labels_pruned_total"),
                            r.counter("decisive_sm_search_merges_total"),
-                           r.counter("decisive_sm_search_bnb_nodes_total"),
-                           r.counter("decisive_sm_search_bnb_pruned_total"),
                            r.gauge("decisive_sm_search_front_size"),
                            r.histogram("decisive_sm_search_pareto_seconds"),
                            r.histogram("decisive_sm_search_merge_seconds"),
-                           r.histogram("decisive_sm_search_greedy_seconds"),
-                           r.histogram("decisive_sm_search_bnb_seconds")};
+                           r.histogram("decisive_sm_search_greedy_seconds")};
     return m;
   }
 };
@@ -600,7 +594,22 @@ std::optional<Deployment> greedy_reach_asil(const FmedaResult& fmea,
   std::vector<const SafetyMechanismSpec*> picked(fmea.rows.size(), nullptr);
   double residual = eval.baseline_residual();
 
-  while (eval.spfm_of_residual(residual) < target) {
+  const auto deployment = [&] {
+    Deployment d;
+    for (const size_t index : candidates) {
+      if (picked[index] != nullptr) d.choices.push_back({index, picked[index]});
+    }
+    d.total_cost_hours = SpfmEvaluator::cost(d);
+    d.spfm = eval.spfm(d);
+    return d;
+  };
+  // The running residual sums the moves in move order, so at the boundary it
+  // can sit an ulp from the canonical SPFM the result reports. It only
+  // proposes when to stop; the canonical value decides.
+  const auto met = [&] { return deployment().spfm >= target; };
+
+  for (;;) {
+    if (eval.spfm_of_residual(residual) >= target && met()) break;
     double best_ratio = -1.0;
     std::optional<DeploymentChoice> best_choice;
     for (const size_t index : candidates) {
@@ -620,7 +629,11 @@ std::optional<Deployment> greedy_reach_asil(const FmedaResult& fmea,
         }
       }
     }
-    if (!best_choice.has_value()) return std::nullopt;  // target unreachable
+    if (!best_choice.has_value()) {
+      // Every row is at its best coverage: the target holds here or nowhere.
+      if (met()) break;
+      return std::nullopt;
+    }
     residual += eval.row_residual(best_choice->row_index, best_choice->mechanism) -
                 eval.row_residual(best_choice->row_index, picked[best_choice->row_index]);
     picked[best_choice->row_index] = best_choice->mechanism;
@@ -628,7 +641,7 @@ std::optional<Deployment> greedy_reach_asil(const FmedaResult& fmea,
 
   // Trim pass: the gain-per-cost heuristic can overshoot; drop or downgrade
   // choices while the target still holds, until no single move helps. Each
-  // trial is an O(1) residual delta.
+  // trial is an O(1) residual delta; an accepted trim is confirmed canonically.
   for (bool changed = true; changed;) {
     changed = false;
     for (const size_t index : candidates) {
@@ -655,143 +668,31 @@ std::optional<Deployment> greedy_reach_asil(const FmedaResult& fmea,
           best_cost = cost;
         }
       }
-      if (best_alternative != original) {
-        residual += eval.row_residual(index, best_alternative) - current_row_residual;
-        picked[index] = best_alternative;
-        changed = true;
+      if (best_alternative == original) continue;
+      picked[index] = best_alternative;
+      if (!met()) {
+        picked[index] = original;
+        continue;
       }
+      residual += eval.row_residual(index, best_alternative) - current_row_residual;
+      changed = true;
     }
   }
 
-  Deployment result;
-  for (const size_t index : candidates) {
-    if (picked[index] != nullptr) result.choices.push_back({index, picked[index]});
-  }
-  result.total_cost_hours = SpfmEvaluator::cost(result);
-  result.spfm = eval.spfm(result);
-  return result;
+  return deployment();
 }
 
 std::optional<Deployment> optimal_reach_asil(const FmedaResult& fmea,
                                              const SafetyMechanismModel& catalogue,
-                                             std::string_view target_asil,
-                                             const OptimalOptions& options) {
-  SearchMetrics& metrics = SearchMetrics::get();
-  obs::Span span("sm_search.bnb", &metrics.bnb_seconds);
-
+                                             std::string_view target_asil) {
   const double target = spfm_target(target_asil);
-  const SpfmEvaluator eval(fmea);
-
-  // The greedy result is the incumbent. When greedy fails, every row is
-  // already at its maximum coverage and the target is provably unreachable.
-  std::optional<Deployment> incumbent = greedy_reach_asil(fmea, catalogue, target_asil);
-  if (!incumbent.has_value()) return std::nullopt;
-  if (eval.denominator() <= 0.0) return incumbent;  // SPFM degenerate at 1.0
-
-  const double allowed_residual = (1.0 - target) * eval.denominator();
-  const std::vector<size_t> rows = open_rows(fmea);
-  const Quantizer q(max_total_cost(fmea, catalogue, rows), eval.baseline_residual());
-  const std::int64_t q_allowed = q.qresid(allowed_residual);
-
-  struct BnbRow {
-    size_t row_index = 0;
-    std::vector<RowOption> options;
-  };
-  std::vector<BnbRow> order;
-  order.reserve(rows.size());
-  for (const size_t index : rows) {
-    order.push_back({index, row_option_front(fmea, catalogue, index, q)});
+  // The exact front is sorted by cost with strictly increasing SPFM, so its
+  // first point meeting the target is the cheapest deployment that does.
+  std::vector<Deployment> front = pareto_front(fmea, catalogue);
+  for (Deployment& point : front) {
+    if (point.spfm >= target) return std::move(point);
   }
-  // Branch on the rows with the most residual-reduction potential first —
-  // they decide feasibility, so bounds bite early.
-  std::stable_sort(order.begin(), order.end(), [](const BnbRow& a, const BnbRow& b) {
-    const double ra = a.options.front().residual - a.options.back().residual;
-    const double rb = b.options.front().residual - b.options.back().residual;
-    return ra > rb;
-  });
-
-  const size_t n = order.size();
-  // Suffix bounds over the branch order:
-  //  - min_resid: residual floor if every remaining row takes its best
-  //    option (feasibility bound);
-  //  - base_resid/base_cost: residual and cost when every remaining row
-  //    takes its cheapest option (the zero-extra-cost floor);
-  //  - best_ratio: max residual reduction per extra cost hour among the
-  //    remaining paid options (fractional cost lower bound).
-  std::vector<double> min_resid(n + 1, 0.0), base_resid(n + 1, 0.0), base_cost(n + 1, 0.0),
-      best_ratio(n + 1, 0.0);
-  for (size_t i = n; i-- > 0;) {
-    const std::vector<RowOption>& opts = order[i].options;
-    min_resid[i] = min_resid[i + 1] + opts.back().residual;
-    base_resid[i] = base_resid[i + 1] + opts.front().residual;
-    base_cost[i] = base_cost[i + 1] + opts.front().cost;
-    double row_ratio = 0.0;
-    for (size_t o = 1; o < opts.size(); ++o) {
-      const double reduction = opts.front().residual - opts[o].residual;
-      const double paid = opts[o].cost - opts.front().cost;
-      if (paid > 0.0) row_ratio = std::max(row_ratio, reduction / paid);
-    }
-    best_ratio[i] = std::max(best_ratio[i + 1], row_ratio);
-  }
-
-  double incumbent_cost = incumbent->total_cost_hours;
-  std::uint64_t nodes = 0;
-  std::vector<std::uint32_t> chosen(n, 0);
-
-  const std::function<void(size_t, double, double)> dfs = [&](size_t depth, double residual,
-                                                              double cost) {
-    ++nodes;
-    metrics.bnb_nodes.add();
-    if (options.max_nodes != 0 && nodes > options.max_nodes) {
-      throw AnalysisError("optimal_reach_asil exceeded " + std::to_string(options.max_nodes) +
-                          " search nodes; use greedy_reach_asil");
-    }
-    // Feasibility: even max coverage everywhere below cannot reach the target.
-    if (q.qresid(residual + min_resid[depth]) > q_allowed) {
-      metrics.bnb_pruned.add();
-      return;
-    }
-    // Cost bound: the zero-extra-cost floor plus a fractional relaxation of
-    // the reduction still needed beyond it.
-    double bound = cost + base_cost[depth];
-    const double needed = (residual + base_resid[depth]) - allowed_residual;
-    if (needed > 0.0 && best_ratio[depth] > 0.0) bound += needed / best_ratio[depth];
-    if (q.qcost(bound) >= q.qcost(incumbent_cost)) {
-      metrics.bnb_pruned.add();
-      return;
-    }
-    if (depth == n) {
-      if (q.qresid(residual) > q_allowed) return;
-      Deployment candidate;
-      for (size_t i = 0; i < n; ++i) {
-        const RowOption& option = order[i].options[chosen[i]];
-        if (option.mechanism != nullptr) {
-          candidate.choices.push_back({order[i].row_index, option.mechanism});
-        }
-      }
-      std::sort(candidate.choices.begin(), candidate.choices.end(),
-                [](const DeploymentChoice& a, const DeploymentChoice& b) {
-                  return a.row_index < b.row_index;
-                });
-      candidate.total_cost_hours = SpfmEvaluator::cost(candidate);
-      candidate.spfm = eval.spfm(candidate);
-      // Accept on the canonical value only — the incumbent is never replaced
-      // by a deployment that fails the target outside the tolerance grid.
-      if (candidate.spfm >= target &&
-          q.qcost(candidate.total_cost_hours) < q.qcost(incumbent_cost)) {
-        incumbent_cost = candidate.total_cost_hours;
-        incumbent = std::move(candidate);
-      }
-      return;
-    }
-    const std::vector<RowOption>& opts = order[depth].options;
-    for (std::uint32_t o = 0; o < opts.size(); ++o) {
-      chosen[depth] = o;
-      dfs(depth + 1, residual + opts[o].residual, cost + opts[o].cost);
-    }
-  };
-  dfs(0, 0.0, 0.0);
-  return incumbent;
+  return std::nullopt;
 }
 
 CsvTable front_to_csv(const FmedaResult& fmea, const std::vector<Deployment>& front,

@@ -64,12 +64,14 @@ class SsamModel {
   /// Wires two IONodes inside `component` (a ComponentRelationship).
   ObjectId connect(ObjectId component, ObjectId source_node, ObjectId target_node);
 
-  /// nature: "lossOfFunction" / "degraded" / "erroneous".
+  /// nature: "lossOfFunction" / "degraded" / "erroneous". Throws ModelError
+  /// unless the distribution is in [0,1] (NaN fails).
   ObjectId add_failure_mode(ObjectId component, std::string_view name, double distribution,
                             std::string_view nature);
 
-  /// coverage in [0,1]; `covers_failure_mode` may be kNullObject for a
-  /// component-wide mechanism.
+  /// Throws ModelError unless the coverage is in [0,1] and the cost a finite
+  /// number >= 0 (NaN fails both); `covers_failure_mode` may be kNullObject
+  /// for a component-wide mechanism.
   ObjectId add_safety_mechanism(ObjectId component, std::string_view name, double coverage,
                                 double cost_hours, ObjectId covers_failure_mode);
 

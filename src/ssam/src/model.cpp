@@ -1,5 +1,6 @@
 #include "decisive/ssam/model.hpp"
 
+#include "decisive/base/domain.hpp"
 #include "decisive/base/error.hpp"
 #include "decisive/drivers/datasource.hpp"
 
@@ -140,9 +141,7 @@ ObjectId SsamModel::connect(ObjectId component, ObjectId source_node, ObjectId t
 
 ObjectId SsamModel::add_failure_mode(ObjectId component, std::string_view name,
                                      double distribution, std::string_view nature) {
-  if (distribution < 0.0 || distribution > 1.0) {
-    throw ModelError("failure-mode distribution must be in [0,1]");
-  }
+  check_share<ModelError>(distribution, "failure-mode distribution", name);
   const ObjectId id = create_named(cls::FailureMode, name);
   obj(id).set_real("distribution", distribution);
   obj(id).set_string("nature", std::string(nature));
@@ -153,9 +152,8 @@ ObjectId SsamModel::add_failure_mode(ObjectId component, std::string_view name,
 ObjectId SsamModel::add_safety_mechanism(ObjectId component, std::string_view name,
                                          double coverage, double cost_hours,
                                          ObjectId covers_failure_mode) {
-  if (coverage < 0.0 || coverage > 1.0) {
-    throw ModelError("safety-mechanism coverage must be in [0,1]");
-  }
+  check_share<ModelError>(coverage, "safety-mechanism coverage", name);
+  check_non_negative<ModelError>(cost_hours, "safety-mechanism cost", name);
   const ObjectId id = create_named(cls::SafetyMechanism, name);
   obj(id).set_real("coverage", coverage);
   obj(id).set_real("costHours", cost_hours);

@@ -500,6 +500,37 @@ TEST(Cli, SessionParetoMatchesSmSearchCli) {
   EXPECT_NE(session.output.find("front: 4 deployment(s)"), std::string::npos);
 }
 
+TEST(Cli, SmSearchRejectsNonNumericCoverageAndCost) {
+  // A catalogue coverage or cost that is not a number fails the load (exit
+  // 1): it never reads as an unreachable target (exit 3) or a nan front row.
+  TempDir tmp;
+  const auto path = (tmp.path / "catalogue.csv").string();
+  const auto run_with = [&](const std::string& coverage, const std::string& cost,
+                            const std::string& mode) {
+    std::ofstream(path, std::ios::trunc)
+        << "Component,Failure_Mode,Safety_Mechanism,Cov.,Cost(hrs)\n"
+        << "Sensor,No output,Redundant sensor," << coverage << "," << cost << "\n"
+        << "Driver,Open,Duplex driver,90%,2.0\n";
+    return run(sm_search_args(path) + mode);
+  };
+  const auto coverage = run_with("nan", "4.0", " --target-asil B");
+  EXPECT_EQ(coverage.exit_code, 1) << coverage.output;
+  EXPECT_NE(coverage.output.find(
+                "safety-mechanism coverage of 'Redundant sensor' must be in [0,1], got nan"),
+            std::string::npos)
+      << coverage.output;
+  for (const char* cost : {"nan", "inf"}) {
+    const auto front = run_with("95%", cost, " --pareto");
+    EXPECT_EQ(front.exit_code, 1) << front.output;
+    EXPECT_NE(front.output.find("safety-mechanism cost of 'Redundant sensor' must be a finite "
+                                "number >= 0, got " +
+                                std::string(cost)),
+              std::string::npos)
+        << front.output;
+    EXPECT_EQ(front.output.find("ASIL"), std::string::npos) << front.output;
+  }
+}
+
 TEST(Cli, SmSearchRequiresCatalogue) {
   const auto result = run("sm-search " + kAssets +
                           "/brake_chain.ssam --component BrakeChain --pareto");

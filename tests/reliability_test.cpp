@@ -2,6 +2,9 @@
 // (DECISIVE Step 3 inputs).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "decisive/base/error.hpp"
 #include "decisive/core/reliability.hpp"
 #include "decisive/core/safety_mechanism.hpp"
@@ -45,6 +48,11 @@ TEST(ReliabilityModel, RejectsInvalidData) {
   EXPECT_THROW(model.add("X", -1, {}), AnalysisError);
   EXPECT_THROW(model.add("X", 10, {{"A", 1.5}}), AnalysisError);
   EXPECT_THROW(model.add("X", 10, {{"A", 0.7}, {"B", 0.7}}), AnalysisError);  // sum > 1
+  // NaN is not a share: rejected at load time, not at the SPFM step.
+  EXPECT_THROW(model.add("X", 10, {{"A", std::nan("")}}), AnalysisError);
+  const auto table = parse_csv("Component,FIT,Failure_Mode,Distribution\nDiode,10,Open,nan\n");
+  EXPECT_THROW(ReliabilityModel::from_table(table), AnalysisError);
+  EXPECT_TRUE(model.entries().empty());
 }
 
 TEST(ReliabilityModel, FitMustBeFiniteAndNonNegative) {
@@ -132,6 +140,13 @@ TEST(SafetyMechanismModel, RejectsInvalidData) {
   SafetyMechanismModel model;
   EXPECT_THROW(model.add({"X", "m", "sm", 1.5, 1.0}), AnalysisError);
   EXPECT_THROW(model.add({"X", "m", "sm", 0.5, -1.0}), AnalysisError);
+  // NaN coverage or cost, and an infinite cost, are rejected too.
+  const double nan = std::nan("");
+  EXPECT_THROW(model.add({"X", "m", "sm", nan, 1.0}), AnalysisError);
+  EXPECT_THROW(model.add({"X", "m", "sm", 0.5, nan}), AnalysisError);
+  EXPECT_THROW(model.add({"X", "m", "sm", 0.5, std::numeric_limits<double>::infinity()}),
+               AnalysisError);
+  EXPECT_TRUE(model.entries().empty());
 }
 
 TEST(SafetyMechanismModel, FromTableParsesCoverageForms) {

@@ -487,6 +487,52 @@ TEST(ServiceTest, ScriptedEditLoopOverOneResidentModel) {
   EXPECT_NE(text.find("\nok\n"), std::string::npos);
 }
 
+TEST(ServiceTest, NonNumericSharesAndCostsAreRejectedAndTheSessionStaysUsable) {
+  ServiceOptions options;
+  options.model_path = DECISIVE_ASSETS_DIR "/brake_chain.ssam";
+  options.component = "BrakeChain";
+
+  // Each bad edit answers `error:` and leaves the model untouched, so the
+  // next reanalyze still succeeds with the unedited SPFM.
+  std::istringstream in(
+      "reanalyze\n"
+      "result\n"
+      "add-failure-mode Sensor Drift nan lossOfFunction\n"
+      "deploy-sm Sensor Wd nan 1\n"
+      "deploy-sm Sensor Wd 0.9 nan\n"
+      "deploy-sm Sensor Wd 0.9 inf\n"
+      "reanalyze\n"
+      "result\n"
+      "quit\n");
+  std::ostringstream out;
+  EXPECT_EQ(run_service(in, out, options), 0);
+
+  const std::string text = out.str();
+  EXPECT_NE(text.find("error: model error: failure-mode distribution of 'Drift' must be in "
+                      "[0,1], got nan"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("error: model error: safety-mechanism coverage of 'Wd' must be in "
+                      "[0,1], got nan"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("error: model error: safety-mechanism cost of 'Wd' must be a finite "
+                      "number >= 0, got nan"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("safety-mechanism cost of 'Wd' must be a finite number >= 0, got inf"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("analysis error"), std::string::npos) << text;
+  // Both `result` replies show the same SPFM.
+  const size_t first = text.find("\nspfm ");
+  ASSERT_NE(first, std::string::npos) << text;
+  const size_t second = text.find("\nspfm ", first + 1);
+  ASSERT_NE(second, std::string::npos) << text;
+  EXPECT_EQ(text.substr(first, text.find('\n', first + 1) - first),
+            text.substr(second, text.find('\n', second + 1) - second));
+}
+
 TEST(ServiceTest, FtaRequestIsFingerprintCached) {
   ServiceOptions options;
   options.model_path = DECISIVE_ASSETS_DIR "/brake_chain.ssam";

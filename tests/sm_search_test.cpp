@@ -4,11 +4,15 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "decisive/base/error.hpp"
 #include "decisive/base/json.hpp"
 #include "decisive/base/table.hpp"
+#include "decisive/core/graph_fmea.hpp"
 #include "decisive/core/sm_search.hpp"
+#include "decisive/core/synthetic.hpp"
 
 using namespace decisive;
 using namespace decisive::core;
@@ -43,6 +47,50 @@ SafetyMechanismModel sample_catalogue() {
   cat.add({"B", "Open", "B-only", 0.95, 2.0});
   cat.add({"C", "Open", "C-only", 0.98, 3.0});
   return cat;
+}
+
+/// One safety-related single-mode row per FIT, named R0, R1, ..., each with
+/// one mechanism {coverage, cost}.
+struct BoundaryInstance {
+  FmedaResult fmea;
+  SafetyMechanismModel catalogue;
+};
+
+BoundaryInstance boundary_instance(const std::vector<double>& fits,
+                                   const std::vector<std::pair<double, double>>& mechanisms) {
+  BoundaryInstance out;
+  for (size_t i = 0; i < fits.size(); ++i) {
+    const std::string name = "R" + std::to_string(i);
+    out.fmea.rows.push_back(make_row(name.c_str(), fits[i], "Open", 1.0, true));
+    out.catalogue.add({name, "Open", name + "-sm", mechanisms[i].first, mechanisms[i].second});
+  }
+  return out;
+}
+
+/// Greedy, optimal_reach_asil and the exhaustive oracle front give one
+/// verdict: the target is reachable exactly when the front has a point whose
+/// reported SPFM meets it; then optimal costs that point's cost, never more
+/// than greedy, and neither deployment grades below the target.
+void expect_one_verdict(const FmedaResult& fmea, const SafetyMechanismModel& catalogue,
+                        const std::string& target) {
+  const auto greedy = greedy_reach_asil(fmea, catalogue, target);
+  const auto optimal = optimal_reach_asil(fmea, catalogue, target);
+  const auto front = pareto_front_exhaustive(fmea, catalogue);
+  const Deployment* cheapest = nullptr;
+  for (const auto& d : front) {
+    if (d.spfm >= spfm_target(target)) {
+      cheapest = &d;
+      break;
+    }
+  }
+  ASSERT_EQ(greedy.has_value(), cheapest != nullptr) << target;
+  ASSERT_EQ(optimal.has_value(), cheapest != nullptr) << target;
+  if (cheapest == nullptr) return;
+  EXPECT_NEAR(optimal->total_cost_hours, cheapest->total_cost_hours, 1e-9) << target;
+  EXPECT_LE(optimal->total_cost_hours, greedy->total_cost_hours + 1e-9) << target;
+  // The achieved ASIL rung is at least the target's (targets grow with rung).
+  EXPECT_GE(spfm_target(achieved_asil(optimal->spfm)), spfm_target(target)) << target;
+  EXPECT_GE(spfm_target(achieved_asil(greedy->spfm)), spfm_target(target)) << target;
 }
 
 }  // namespace
@@ -85,6 +133,17 @@ TEST(Greedy, ReachesAsilB) {
   EXPECT_GE(deployment->spfm, 0.90);
   const auto applied = apply_deployment(fmea, *deployment);
   EXPECT_NEAR(applied.spfm(), deployment->spfm, 1e-12);
+
+  // On the boundary: deploying all four reports an SPFM of exactly 0.9,
+  // while the move-by-move residual sum lands one ulp below it.
+  // Greedy must read the value it reports, and agree with the front.
+  const auto boundary = boundary_instance({40, 30, 26, 16},
+                                          {{0.95, 2.0}, {0.95, 3.0}, {0.95, 4.0}, {0.60, 1.0}});
+  EXPECT_TRUE(greedy_reach_asil(boundary.fmea, boundary.catalogue, "ASIL-B").has_value());
+  expect_one_verdict(boundary.fmea, boundary.catalogue, "ASIL-B");
+  const auto optimal = optimal_reach_asil(boundary.fmea, boundary.catalogue, "ASIL-B");
+  ASSERT_TRUE(optimal.has_value());
+  EXPECT_DOUBLE_EQ(optimal->total_cost_hours, 10.0);
 }
 
 TEST(Greedy, PrefersCostEffectiveMechanisms) {
@@ -108,6 +167,13 @@ TEST(Greedy, UnreachableTargetReturnsNullopt) {
   // Even a weak mechanism cannot reach ASIL-D coverage here.
   cat.add({"X", "Open", "weak", 0.5, 1.0});
   EXPECT_EQ(greedy_reach_asil(f, cat, "ASIL-D"), std::nullopt);
+
+  // On the boundary: full 99% coverage reports an SPFM one ulp below 0.99,
+  // while the move-by-move residual sum reaches it. Greedy must not return a
+  // deployment that grades ASIL-C, and must agree with the front.
+  const auto boundary = boundary_instance({26, 59}, {{0.99, 1.0}, {0.99, 1.0}});
+  EXPECT_EQ(greedy_reach_asil(boundary.fmea, boundary.catalogue, "ASIL-D"), std::nullopt);
+  expect_one_verdict(boundary.fmea, boundary.catalogue, "ASIL-D");
 }
 
 TEST(Greedy, AlreadyMetTargetDeploysNothing) {
@@ -293,28 +359,14 @@ TEST_P(DpOracleProperty, DpFrontMatchesExhaustiveOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DpOracleProperty, ::testing::Range(1, 41));
 
-/// optimal_reach_asil is provably min-cost: never costlier than greedy, and
-/// equal to the cheapest oracle front point meeting the target.
+/// optimal_reach_asil is min-cost: never costlier than greedy, equal to the
+/// cheapest oracle front point meeting the target, and graded at least the
+/// target.
 class OptimalProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(OptimalProperty, NeverCostlierThanGreedyAndMatchesFront) {
   const auto instance = make_random_instance(static_cast<uint64_t>(GetParam()));
-  const auto greedy = greedy_reach_asil(instance.fmea, instance.catalogue, "ASIL-B");
-  const auto optimal = optimal_reach_asil(instance.fmea, instance.catalogue, "ASIL-B");
-  ASSERT_EQ(greedy.has_value(), optimal.has_value());
-  if (!optimal.has_value()) return;
-  EXPECT_LE(optimal->total_cost_hours, greedy->total_cost_hours + 1e-9);
-  EXPECT_GE(optimal->spfm, 0.90);
-  const auto front = pareto_front_exhaustive(instance.fmea, instance.catalogue);
-  const Deployment* cheapest = nullptr;
-  for (const auto& d : front) {
-    if (d.spfm >= 0.90) {
-      cheapest = &d;
-      break;
-    }
-  }
-  ASSERT_NE(cheapest, nullptr);
-  EXPECT_NEAR(optimal->total_cost_hours, cheapest->total_cost_hours, 1e-9);
+  expect_one_verdict(instance.fmea, instance.catalogue, "ASIL-B");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OptimalProperty, ::testing::Range(1, 41));
@@ -450,6 +502,20 @@ TEST(Pareto, DpScalesToHundredsOfOpenRows) {
   EXPECT_EQ(front.back().choices.size(), 220u);
   const auto applied = apply_deployment(f, front.back());
   EXPECT_NEAR(applied.spfm(), front.back().spfm, 1e-12);
+
+  // The min-cost target search reads the same front, so it answers at this
+  // scale too: 240 open rows of the scaled synthetic architecture.
+  auto scaled = make_scaled_architecture(60, 5);
+  const auto scaled_fmea = analyze_component(*scaled.model, scaled.system);
+  const auto scaled_catalogue = scaled_sm_catalogue();
+  for (const std::string target : {"ASIL-B", "ASIL-C"}) {
+    const auto optimal = optimal_reach_asil(scaled_fmea, scaled_catalogue, target);
+    ASSERT_TRUE(optimal.has_value()) << target;
+    EXPECT_GE(optimal->spfm, spfm_target(target)) << target;
+    const auto greedy = greedy_reach_asil(scaled_fmea, scaled_catalogue, target);
+    ASSERT_TRUE(greedy.has_value()) << target;
+    EXPECT_LE(optimal->total_cost_hours, greedy->total_cost_hours + 1e-9) << target;
+  }
 }
 
 TEST(FrontExport, CsvAndJsonRenderTheFront) {

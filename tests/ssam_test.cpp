@@ -2,6 +2,7 @@
 // federation and the component graph used by Algorithm 1.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 
@@ -101,6 +102,14 @@ TEST(SsamFacade, FeatureValidation) {
   EXPECT_THROW(m.add_io_node(comp, "x", "sideways"), ModelError);
   EXPECT_THROW(m.add_failure_mode(comp, "fm", 1.5, "lossOfFunction"), ModelError);
   EXPECT_THROW(m.add_safety_mechanism(comp, "sm", 2.0, 1.0, model::kNullObject), ModelError);
+  // NaN passes no range check: not as a share, not as a cost.
+  const double nan = std::nan("");
+  EXPECT_THROW(m.add_failure_mode(comp, "fm", nan, "lossOfFunction"), ModelError);
+  EXPECT_THROW(m.add_safety_mechanism(comp, "sm", nan, 1.0, model::kNullObject), ModelError);
+  EXPECT_THROW(m.add_safety_mechanism(comp, "sm", 0.5, nan, model::kNullObject), ModelError);
+  EXPECT_THROW(m.add_safety_mechanism(comp, "sm", 0.5, -1.0, model::kNullObject), ModelError);
+  EXPECT_TRUE(m.obj(comp).refs("failureModes").empty());
+  EXPECT_TRUE(m.obj(comp).refs("safetyMechanisms").empty());
   EXPECT_THROW(m.add_function(comp, "f", "3oo7"), ModelError);
   EXPECT_NO_THROW(m.add_function(comp, "f", "2oo3"));
 }

@@ -216,8 +216,9 @@ int usage() {
       "      graph FMEA of <name>. Default/--pareto: the exact (cost, SPFM)\n"
       "      Pareto front via the DP engine (byte-identical for any --jobs;\n"
       "      --epsilon trades exactness for a bounded front). --target-asil:\n"
-      "      a min-cost deployment reaching the target (greedy, or provably\n"
-      "      optimal branch-and-bound with --optimal; exit 3 = unreachable).\n"
+      "      a min-cost deployment reaching the target (greedy, or with\n"
+      "      --optimal the cheapest exact-front point meeting it; exit 3 =\n"
+      "      unreachable).\n"
       "      --objective lfm weights the front's metric axis by the FTA's\n"
       "      multi-point rows (latent-fault exposure) instead of the SPFM.\n"
       "      --catalogue accepts a CSV file or a workbook directory with a\n"
@@ -453,8 +454,8 @@ int cmd_sm_search(const Args& args) {
   const auto catalogue = core::SafetyMechanismModel::load_catalogue(catalogue_location);
 
   if (target.has_value()) {
-    // Min-cost deployment for one target: greedy by default, provably
-    // optimal branch-and-bound with --optimal.
+    // Min-cost deployment for one target: greedy by default, the cheapest
+    // exact-front point meeting it with --optimal.
     const auto deployment = args.has("optimal")
                                 ? core::optimal_reach_asil(fmea, catalogue, *target)
                                 : core::greedy_reach_asil(fmea, catalogue, *target);
