@@ -226,6 +226,11 @@ BENCHMARK(BM_DecideByDominators)
     ->Arg(16)
     ->Unit(benchmark::kMicrosecond);
 
+// The benchmarks that run analyze_component take a fixed iteration count, so
+// the runs and units they add to the instrumentation snapshot — and the
+// perf sentinel's units-per-run ratio pooled over them — do not depend on
+// how fast the machine is.
+
 /// The case that used to be impossible: full FMEA of the dense component.
 void BM_DenseComponentFmea(benchmark::State& state) {
   auto arch = make_layered(/*layers=*/8, static_cast<int>(state.range(0)),
@@ -240,6 +245,7 @@ BENCHMARK(BM_DenseComponentFmea)
     ->Arg(4)
     ->Arg(6)
     ->Arg(8)
+    ->Iterations(200)
     ->Unit(benchmark::kMillisecond);
 
 /// Recursive walk throughput: serial vs all-cores on a many-unit model.
@@ -261,6 +267,7 @@ BENCHMARK(BM_RecursiveWalkJobs)
     ->Arg(2)
     ->Arg(4)
     ->Arg(0)  // all cores
+    ->Iterations(100)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

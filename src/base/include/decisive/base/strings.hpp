@@ -43,8 +43,13 @@ std::uint64_t parse_count(std::string_view text);
 bool parse_bool(std::string_view text);
 
 /// Formats a double with up to `max_decimals` digits, trimming trailing zeros
-/// ("3.1400" -> "3.14", "3.0" -> "3").
+/// ("3.1400" -> "3.14", "3.0" -> "3"): printf's "%.*f", rounded half to even
+/// on the exact binary value, then trimmed; a value that rounds to zero is
+/// "0", never "-0". Exact at any magnitude and precision.
 std::string format_number(double value, int max_decimals = 6);
+
+/// format_number, appended to `out` (builds a cell in place).
+void append_number(std::string& out, double value, int max_decimals = 6);
 
 /// Formats `value` as a percentage string ("96.77%"), with `decimals` digits.
 std::string format_percent(double fraction, int decimals = 2);

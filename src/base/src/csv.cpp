@@ -1,6 +1,7 @@
 #include "decisive/base/csv.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "decisive/base/error.hpp"
 #include "decisive/base/persist.hpp"
@@ -102,11 +103,21 @@ CsvTable read_csv_file(const std::string& path, char sep) {
 
 namespace {
 
-/// Appends one cell, quoted (with doubled quotes) only when it holds the
-/// separator, a quote or a line break.
-void append_cell(std::string& out, const std::string& cell, char sep) {
-  const bool plain = std::none_of(cell.begin(), cell.end(), [sep](char c) {
-    return c == sep || c == '"' || c == '\n' || c == '\r';
+/// The bytes that force a cell into quotes (the separator, a quote and the
+/// two line breaks), as a 256-entry table so the test costs one load a byte.
+using QuoteTable = std::array<bool, 256>;
+
+QuoteTable quote_table(char sep) {
+  QuoteTable special{};
+  for (const char c : {sep, '"', '\n', '\r'}) special[static_cast<unsigned char>(c)] = true;
+  return special;
+}
+
+/// Appends one cell: a plain cell in one copy, any other one quoted, with
+/// its quotes doubled.
+void append_cell(std::string& out, const std::string& cell, const QuoteTable& special) {
+  const bool plain = std::none_of(cell.begin(), cell.end(), [&special](char c) {
+    return special[static_cast<unsigned char>(c)];
   });
   if (plain) {
     out += cell;
@@ -120,10 +131,11 @@ void append_cell(std::string& out, const std::string& cell, char sep) {
   out += '"';
 }
 
-void append_row(std::string& out, const std::vector<std::string>& row, char sep) {
+void append_row(std::string& out, const std::vector<std::string>& row, char sep,
+                const QuoteTable& special) {
   for (size_t i = 0; i < row.size(); ++i) {
     if (i != 0) out += sep;
-    append_cell(out, row[i], sep);
+    append_cell(out, row[i], special);
   }
   out += '\n';
 }
@@ -143,8 +155,9 @@ std::string write_csv(const CsvTable& table, char sep) {
   for (const auto& row : table.rows) bytes += row_bytes(row);
   std::string out;
   out.reserve(bytes);
-  append_row(out, table.header, sep);
-  for (const auto& row : table.rows) append_row(out, row, sep);
+  const QuoteTable special = quote_table(sep);
+  append_row(out, table.header, sep, special);
+  for (const auto& row : table.rows) append_row(out, row, sep, special);
   return out;
 }
 

@@ -98,6 +98,7 @@ struct GraphFmeaStats {
   size_t units = 0;        ///< composite components the walk visited
   size_t cache_hits = 0;   ///< units replayed from the cache
   size_t cache_misses = 0; ///< units analysed fresh
+  bool units_reused = false;     ///< the unit list was the previous run's, not walked
   double collect_seconds = 0.0;  ///< phase A: unit enumeration
   double analyze_seconds = 0.0;  ///< phase B: graph + single-point analyses
   double emit_seconds = 0.0;     ///< phase C: row emission / cache replay
@@ -108,11 +109,23 @@ struct GraphFmeaStats {
   }
 };
 
-/// Where every sub record of one emitted FMEDA landed, in emission order.
-/// analyze_component fills it on request; reanalyze_component reads and
-/// updates it, so a caller that keeps its last result re-emits only the
-/// units whose inputs changed.
+/// Where every sub record of one emitted FMEDA landed, in emission order,
+/// and the unit list that emitted it. analyze_component fills it on request;
+/// reanalyze_component reads and updates it, so a caller that keeps its last
+/// result re-emits only the units whose inputs changed, and walks the model
+/// for the unit list only when a changed unit's child units moved.
 struct EmitLayout {
+  static constexpr size_t kNoParent = static_cast<size_t>(-1);
+  /// One analysis unit: a composite component the recursive walk visits,
+  /// its qualified path from the analysis root, and the index of the unit
+  /// whose subcomponent it is (kNoParent for the root).
+  struct Unit {
+    ssam::ObjectId component = model::kNullObject;
+    std::string path;
+    size_t parent = kNoParent;
+
+    bool operator==(const Unit&) const = default;
+  };
   /// One (unit, subcomponent) record: the unit's index in `units`, the
   /// subcomponent, and the end offsets of its rows and warnings.
   struct Slot {
@@ -121,8 +134,8 @@ struct EmitLayout {
     size_t rows_end = 0;
     size_t warnings_end = 0;
   };
-  std::vector<ssam::ObjectId> units;  ///< analysis units in walk pre-order
-  std::vector<Slot> slots;            ///< every sub record, in emission order
+  std::vector<Unit> units;  ///< analysis units in walk pre-order
+  std::vector<Slot> slots;  ///< every sub record, in emission order
 };
 
 /// Runs Algorithm 1 on `component` (a composite SSAM Component). Mutates the
@@ -145,11 +158,14 @@ FmedaResult analyze_component(ssam::SsamModel& ssam, ssam::ObjectId component,
 /// with every write-back of that run still in place. A unit the cache serves
 /// is taken as unchanged since that run — its rows and warnings stay where
 /// they are and its write-backs are not repeated — so the cache must decline
-/// every unit whose record may have changed. Only the declined units are
-/// analysed, emitted, written back and spliced in, in walk order. When the
-/// unit list, or the subcomponents of a declined unit, differ from the
-/// layout, this falls back to the full walk. The result is byte-identical to
-/// analyze_component on the same model state either way.
+/// every unit whose record may have changed. The unit list is the layout's
+/// unless a declined unit's child units (composite subcomponents with
+/// IONodes), their order or their names moved; only then is the model walked
+/// for it. Only the declined units are analysed, emitted, written back and
+/// spliced in, in walk order. When the unit list, or the subcomponents of a
+/// declined unit, differ from the layout, this falls back to the full walk.
+/// The result is byte-identical to analyze_component on the same model state
+/// either way.
 void reanalyze_component(ssam::SsamModel& ssam, ssam::ObjectId component,
                          const GraphFmeaOptions& options, UnitResultCache& cache,
                          FmedaResult& result, EmitLayout& layout,

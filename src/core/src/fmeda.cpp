@@ -209,21 +209,20 @@ CsvTable FmedaResult::to_csv() const {
                   "Outcome_Detail"};
   table.rows.reserve(rows.size());
   for (const auto& row : rows) {
-    auto& cells = table.rows.emplace_back();
-    cells.reserve(table.header.size());
-    cells.emplace_back(row.component);
-    cells.emplace_back(row.component_type);
-    cells.emplace_back(format_number(row.fit));
-    cells.emplace_back(row.safety_related ? "Yes" : "No");
-    cells.emplace_back(row.failure_mode);
-    cells.emplace_back(format_number(row.distribution, 6));
-    cells.emplace_back(row.safety_mechanism);
-    cells.emplace_back(format_number(row.sm_coverage, 6));
-    cells.emplace_back(format_number(row.mode_fit(), 6));
-    cells.emplace_back(format_number(row.single_point_fit(), 6));
-    cells.emplace_back(to_string(row.effect));
-    cells.emplace_back(to_string(row.outcome));
-    cells.emplace_back(row.outcome_detail);
+    auto& cells = table.rows.emplace_back(table.header.size());
+    cells[0] = row.component;
+    cells[1] = row.component_type;
+    append_number(cells[2], row.fit);
+    cells[3] = row.safety_related ? "Yes" : "No";
+    cells[4] = row.failure_mode;
+    append_number(cells[5], row.distribution);
+    cells[6] = row.safety_mechanism;
+    append_number(cells[7], row.sm_coverage);
+    append_number(cells[8], row.mode_fit());
+    append_number(cells[9], row.single_point_fit());
+    cells[10] = to_string(row.effect);
+    cells[11] = to_string(row.outcome);
+    cells[12] = row.outcome_detail;
   }
   return table;
 }

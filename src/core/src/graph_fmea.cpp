@@ -95,12 +95,7 @@ void attach_effect(SsamModel& ssam, ObjectId failure_mode, EffectClass effect) {
   ssam.obj(failure_mode).add_ref("effects", fe.id());
 }
 
-/// One composite component the recursive walk analyses: the component plus
-/// its qualified path from the analysis root.
-struct Unit {
-  ObjectId component = model::kNullObject;
-  std::string path;
-};
+using Unit = EmitLayout::Unit;
 
 /// Per-unit result of the (parallelisable) analysis phase.
 struct UnitAnalysis {
@@ -108,13 +103,19 @@ struct UnitAnalysis {
   std::exception_ptr error;
 };
 
+/// True when `component`, as a subcomponent of a unit, is a unit itself:
+/// composite, with boundary IONodes to analyse it through.
+bool is_unit(const model::ModelObject& component) {
+  return !component.refs("subcomponents").empty() && !component.refs("ioNodes").empty();
+}
+
 /// Phase A (serial): collect the analysis units in the exact pre-order the
 /// recursive walk visits them. Iterative — nesting depth is bounded by heap.
 std::vector<Unit> collect_units(const SsamModel& ssam, ObjectId root) {
   std::vector<Unit> units;
   if (ssam.obj(root).refs("subcomponents").empty()) return units;
 
-  std::vector<Unit> stack{{root, ssam.obj(root).get_string("name")}};
+  std::vector<Unit> stack{{root, ssam.obj(root).get_string("name"), EmitLayout::kNoParent}};
   while (!stack.empty()) {
     Unit unit = std::move(stack.back());
     stack.pop_back();
@@ -122,9 +123,8 @@ std::vector<Unit> collect_units(const SsamModel& ssam, ObjectId root) {
     // Children in reverse so the LIFO pops them in declaration order.
     for (auto it = subs.rbegin(); it != subs.rend(); ++it) {
       const auto& sub_obj = ssam.obj(*it);
-      if (sub_obj.refs("subcomponents").empty()) continue;
-      if (sub_obj.refs("ioNodes").empty()) continue;  // warned about in phase C
-      stack.push_back({*it, unit.path + "/" + sub_obj.get_string("name")});
+      if (!is_unit(sub_obj)) continue;  // no IONodes: warned about in phase C
+      stack.push_back({*it, unit.path + "/" + sub_obj.get_string("name"), units.size()});
     }
     units.push_back(std::move(unit));
   }
@@ -310,6 +310,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 /// analyses, and the fresh records produced so far.
 struct RunState {
   std::vector<Unit> units;
+  bool units_reused = false;  ///< `units` is the previous layout's, still valid
   std::vector<const UnitRecord*> cached;  ///< nullptr: analysed fresh
   std::vector<UnitAnalysis> analyses;
   std::vector<UnitRecord> fresh;  ///< fresh sub records, per unit, in sub order
@@ -327,10 +328,44 @@ struct RunState {
   }
 };
 
+/// True when the previous run's unit list (in `run`) still describes the
+/// model. A unit the cache serves is unchanged by the cache's contract, so
+/// only a declined unit can have gained, lost, reordered or renamed child
+/// units; checking those costs O(their subcomponents), not a model walk.
+bool units_still_hold(const SsamModel& ssam, const RunState& run) {
+  const std::vector<Unit>& units = run.units;
+  for (size_t i = 0; i < units.size(); ++i) {
+    if (run.cached[i] != nullptr) continue;
+    const Unit& unit = units[i];
+    const auto& obj = ssam.obj(unit.component);
+    if (i == 0 && unit.path != obj.get_string("name")) return false;
+    // The recorded child units of unit i, in pre-order, against its current
+    // composite subcomponents.
+    size_t next = i + 1;
+    const auto seek_child = [&] {
+      while (next < units.size() && units[next].parent != i) ++next;
+    };
+    for (const ObjectId sub : obj.refs("subcomponents")) {
+      const auto& sub_obj = ssam.obj(sub);
+      if (!is_unit(sub_obj)) continue;
+      seek_child();
+      if (next == units.size() || units[next].component != sub ||
+          units[next].path != unit.path + "/" + sub_obj.get_string("name")) {
+        return false;
+      }
+      ++next;
+    }
+    seek_child();
+    if (next != units.size()) return false;
+  }
+  return true;
+}
+
 /// Phases A and B: collect the units, ask the cache which it serves, and
 /// analyse the rest. Touches neither the result nor the model.
 RunState prepare_run(const SsamModel& ssam, ObjectId component, const GraphFmeaOptions& options,
-                     UnitResultCache* cache, GraphFmeaStats* stats) {
+                     UnitResultCache* cache, GraphFmeaStats* stats,
+                     const EmitLayout* previous = nullptr) {
   GraphFmeaMetrics& metrics = GraphFmeaMetrics::get();
   metrics.runs.add();
   RunState run;
@@ -338,12 +373,23 @@ RunState prepare_run(const SsamModel& ssam, ObjectId component, const GraphFmeaO
   const auto collect_start = std::chrono::steady_clock::now();
   {
     obs::Span collect_span("graph_fmea.collect", &metrics.collect_seconds);
-    run.units = collect_units(ssam, component);
-    run.cached.assign(run.units.size(), nullptr);
-    if (cache != nullptr) {
+    const auto look_up = [&] {
+      run.cached.assign(run.units.size(), nullptr);
+      if (cache == nullptr) return;
       for (size_t i = 0; i < run.units.size(); ++i) {
         run.cached[i] = cache->lookup(run.units[i].component, run.units[i].path);
       }
+    };
+    // A previous unit list from the same root is reused while it still
+    // holds; the model is walked for a new one only when it does not.
+    const bool reuse = previous != nullptr && !previous->units.empty() &&
+                       previous->units.front().component == component;
+    run.units = reuse ? previous->units : collect_units(ssam, component);
+    look_up();
+    run.units_reused = reuse && units_still_hold(ssam, run);
+    if (reuse && !run.units_reused) {
+      run.units = collect_units(ssam, component);
+      look_up();
     }
   }
   size_t hit_count = 0;
@@ -355,6 +401,7 @@ RunState prepare_run(const SsamModel& ssam, ObjectId component, const GraphFmeaO
     stats->units = run.units.size();
     stats->cache_hits = hit_count;
     stats->cache_misses = run.units.size() - hit_count;
+    stats->units_reused = run.units_reused;
     stats->collect_seconds = seconds_since(collect_start);
   }
 
@@ -380,8 +427,7 @@ size_t emit_walk(SsamModel& ssam, RunState& run, const GraphFmeaOptions& options
   std::map<ObjectId, size_t> unit_index;
   for (size_t i = 0; i < run.units.size(); ++i) unit_index[run.units[i].component] = i;
   if (layout != nullptr) {
-    layout->units.clear();
-    for (const Unit& unit : run.units) layout->units.push_back(unit.component);
+    layout->units = run.units;
     layout->slots.clear();
   }
   struct Frame {
@@ -434,10 +480,7 @@ size_t emit_walk(SsamModel& ssam, RunState& run, const GraphFmeaOptions& options
 std::optional<size_t> emit_splice(SsamModel& ssam, RunState& run,
                                   const GraphFmeaOptions& options, FmedaResult& result,
                                   EmitLayout& layout) {
-  if (run.units.empty() || layout.units.size() != run.units.size()) return std::nullopt;
-  for (size_t i = 0; i < run.units.size(); ++i) {
-    if (layout.units[i] != run.units[i].component) return std::nullopt;
-  }
+  if (run.units.empty() || layout.units != run.units) return std::nullopt;
   // Produce every declined unit's records for its current subcomponents and
   // check them against the slots they must fill.
   for (size_t i = 0; i < run.units.size(); ++i) {
@@ -541,7 +584,7 @@ FmedaResult analyze_component(SsamModel& ssam, ObjectId component,
 void reanalyze_component(SsamModel& ssam, ObjectId component, const GraphFmeaOptions& options,
                          UnitResultCache& cache, FmedaResult& result, EmitLayout& layout,
                          GraphFmeaStats* stats) {
-  RunState run = prepare_run(ssam, component, options, &cache, stats);
+  RunState run = prepare_run(ssam, component, options, &cache, stats, &layout);
   finish_run(ssam, component, run, options, &cache, result, &layout, true, stats);
 }
 

@@ -25,6 +25,18 @@ std::string value_to_string(const Value& value);
 /// Parses text into a Value of the given type; throws ParseError.
 Value value_from_string(AttrType type, std::string_view text);
 
+class ModelObject;
+
+/// Told of every attribute write of the objects it observes, however the
+/// write is made (the EMF adapter hook): an index over attribute values, such
+/// as a lookup by name, stays current through it.
+class AttributeObserver {
+ public:
+  virtual ~AttributeObserver() = default;
+  virtual void attribute_set(const ModelObject& object, const MetaAttribute& attribute,
+                             const Value& value) = 0;
+};
+
 /// A typed instance. ModelObjects are owned by a repository and addressed by
 /// ObjectId; references store ids rather than pointers so repositories can
 /// relocate storage.
@@ -40,9 +52,13 @@ class ModelObject {
 
   // -- attributes ----------------------------------------------------------
 
-  /// Sets an attribute; throws ModelError for unknown attributes and
-  /// type-mismatched values.
+  /// Sets an attribute and tells the observer; throws ModelError for unknown
+  /// attributes and type-mismatched values.
   void set(std::string_view attr_name, Value value);
+
+  /// The observer told of every attribute write (nullptr: none). Set by the
+  /// owning repository.
+  void set_observer(AttributeObserver* observer) noexcept { observer_ = observer; }
 
   /// Typed setters (convenience).
   void set_string(std::string_view attr_name, std::string value);
@@ -86,6 +102,7 @@ class ModelObject {
  private:
   const MetaClass* cls_;
   ObjectId id_;
+  AttributeObserver* observer_ = nullptr;
   std::vector<std::pair<const MetaAttribute*, Value>> attrs_;
   std::vector<std::pair<const MetaReference*, std::vector<ObjectId>>> refs_;
 };

@@ -57,6 +57,11 @@ class FullLoadRepository {
   /// the budget would be exceeded.
   ModelObject& create(const MetaClass& cls);
 
+  /// Attaches `observer` to every object, present and future (nullptr
+  /// detaches). It must outlive the objects or be detached first.
+  void set_observer(AttributeObserver* observer);
+  [[nodiscard]] AttributeObserver* observer() const noexcept { return observer_; }
+
   /// Object lookup; nullptr for unknown/null ids.
   [[nodiscard]] ModelObject* find(ObjectId id) noexcept;
   [[nodiscard]] const ModelObject* find(ObjectId id) const noexcept;
@@ -100,6 +105,7 @@ class FullLoadRepository {
   size_t budget_;
   size_t approx_bytes_ = 0;
   ObjectId next_id_ = 1;
+  AttributeObserver* observer_ = nullptr;
   std::deque<ModelObject> objects_;
   std::unordered_map<ObjectId, size_t> index_;
 };

@@ -56,13 +56,16 @@ void ModelObject::set(std::string_view attr_name, Value value) {
   if (attr.type == AttrType::Real) {
     if (const auto* i = std::get_if<long long>(&value)) value = static_cast<double>(*i);
   }
+  const Value* stored = nullptr;
   for (auto& [a, v] : attrs_) {
     if (a == &attr) {
       v = std::move(value);
-      return;
+      stored = &v;
+      break;
     }
   }
-  attrs_.emplace_back(&attr, std::move(value));
+  if (stored == nullptr) stored = &attrs_.emplace_back(&attr, std::move(value)).second;
+  if (observer_ != nullptr) observer_->attribute_set(*this, attr, *stored);
 }
 
 void ModelObject::set_string(std::string_view attr_name, std::string value) {

@@ -18,10 +18,15 @@ void FullLoadRepository::charge(size_t bytes) {
 
 ModelObject& FullLoadRepository::create(const MetaClass& cls) {
   const ObjectId id = next_id_++;
-  objects_.emplace_back(cls, id);
+  objects_.emplace_back(cls, id).set_observer(observer_);
   index_.emplace(id, objects_.size() - 1);
   charge(objects_.back().approx_bytes() + sizeof(void*) * 4);
   return objects_.back();
+}
+
+void FullLoadRepository::set_observer(AttributeObserver* observer) {
+  observer_ = observer;
+  for (auto& obj : objects_) obj.set_observer(observer);
 }
 
 ModelObject* FullLoadRepository::find(ObjectId id) noexcept {

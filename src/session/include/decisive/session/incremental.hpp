@@ -58,6 +58,7 @@ class AnalysisSession {
     size_t unannounced_components = 0;
     bool full_fingerprint_pass = false;  ///< this call re-hashed the whole model
     bool short_circuited = false;   ///< nothing announced: replayed last result
+    bool units_reused = false;      ///< the unit list was the last run's (no walk)
     double fingerprint_seconds = 0.0;
     double analyze_seconds = 0.0;  ///< full analyze_component wall time
     double total_seconds = 0.0;

@@ -187,6 +187,7 @@ const core::FmedaResult& AnalysisSession::run(bool verify) {
   last_stats_.units = graph_stats.units;
   last_stats_.cache_hits = graph_stats.cache_hits;
   last_stats_.cache_misses = graph_stats.cache_misses;
+  last_stats_.units_reused = graph_stats.units_reused;
   metrics.cache_hits.add(graph_stats.cache_hits);
   metrics.cache_misses.add(graph_stats.cache_misses);
 

@@ -5,6 +5,7 @@
 // (ExternalReference + extraction rule -> query result), paper Section IV-B6.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,6 +21,9 @@ using model::ObjectId;
 class SsamModel {
  public:
   explicit SsamModel(size_t memory_budget_bytes = static_cast<size_t>(-1));
+  ~SsamModel();
+  SsamModel(SsamModel&&) noexcept;
+  SsamModel& operator=(SsamModel&&) noexcept;
 
   [[nodiscard]] const model::MetaPackage& meta() const { return metamodel(); }
   [[nodiscard]] model::FullLoadRepository& repo() noexcept { return repo_; }
@@ -95,7 +99,10 @@ class SsamModel {
   /// it is a Component).
   [[nodiscard]] std::vector<ObjectId> all_components_under(ObjectId root) const;
 
-  /// First element of a class with the given name attribute, or kNullObject.
+  /// First element (in creation order) of a class with the given name
+  /// attribute, or kNullObject. An index that sees every write to `name`
+  /// answers in O(objects that ever held the name); an empty name, which an
+  /// unnamed object matches, takes the scan.
   [[nodiscard]] ObjectId find_by_name(std::string_view class_name, std::string_view name) const;
 
   /// Total element count in the repository.
@@ -104,7 +111,11 @@ class SsamModel {
  private:
   ObjectId create_named(std::string_view class_name, std::string_view name);
 
+  class NameIndex;
+
   model::FullLoadRepository repo_;
+  /// Observes repo_'s objects; on the heap, so a moved model keeps it.
+  std::unique_ptr<NameIndex> names_;
   ObjectId mbsa_root_ = model::kNullObject;
   std::uint64_t next_uid_ = 1;
 };

@@ -21,7 +21,7 @@ struct ValidationFinding {
 };
 
 /// Validation rules:
-///   comp-fit-negative          Component.fit must be >= 0
+///   comp-fit-negative          Component.fit must be a finite number >= 0
 ///   fm-distribution-range      FailureMode.distribution must be in [0,1]
 ///   fm-distribution-sum        a component's mode distributions must sum <= 1
 ///   sm-coverage-range          SafetyMechanism.coverage must be in [0,1]
@@ -33,6 +33,8 @@ struct ValidationFinding {
 ///   composite-io               a component with subcomponents and
 ///                              relationships should expose boundary IONodes
 ///   name-collision             sibling components should have unique names
+/// The FIT and range rules are base/domain.hpp's entry checks, so NaN (and an
+/// infinite FIT) fails them as it fails the API entry points.
 std::vector<ValidationFinding> validate(const SsamModel& ssam);
 
 /// Renders findings as one line each.

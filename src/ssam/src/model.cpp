@@ -1,5 +1,9 @@
 #include "decisive/ssam/model.hpp"
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+
 #include "decisive/base/domain.hpp"
 #include "decisive/base/error.hpp"
 #include "decisive/drivers/datasource.hpp"
@@ -9,7 +13,72 @@ namespace decisive::ssam {
 using model::kNullObject;
 using model::ModelObject;
 
-SsamModel::SsamModel(size_t memory_budget_bytes) : repo_(memory_budget_bytes) {}
+/// Every (name, object) pair the model has seen, as a chained hash table
+/// keyed by the name's 32-bit hash: one 16-byte entry per name write and
+/// four bytes per bucket, no copy of any name. A superset of the current
+/// holders — a rename adds the new pair and leaves the old one, and a
+/// collision adds candidates — so the lookup checks each candidate's
+/// current name.
+class SsamModel::NameIndex final : public model::AttributeObserver {
+ public:
+  void attribute_set(const ModelObject& object, const model::MetaAttribute& attribute,
+                     const model::Value& value) override {
+    if (attribute.name != "name") return;
+    if (const auto* text = std::get_if<std::string>(&value)) add(hash_of(*text), object.id());
+  }
+
+  /// Calls `visit(id)` for every object that was ever given a name hashing
+  /// like `name`.
+  template <class Visit>
+  void for_each_candidate(std::string_view name, Visit&& visit) const {
+    if (heads_.empty()) return;
+    const std::uint32_t hash = hash_of(name);
+    for (std::uint32_t at = heads_[hash & (heads_.size() - 1)]; at != kEnd;
+         at = entries_[at].next) {
+      if (entries_[at].hash == hash) visit(entries_[at].id);
+    }
+  }
+
+ private:
+  static constexpr std::uint32_t kEnd = 0xffffffffU;
+  struct Entry {
+    std::uint32_t hash;
+    std::uint32_t next;  ///< the bucket's previous entry, or kEnd
+    ObjectId id;
+  };
+
+  static std::uint32_t hash_of(std::string_view name) {
+    return static_cast<std::uint32_t>(std::hash<std::string_view>{}(name));
+  }
+
+  void add(std::uint32_t hash, ObjectId id) {
+    if (entries_.size() >= heads_.size()) {
+      // Keep at most one entry per bucket on average.
+      heads_.assign(std::max<size_t>(1024, 2 * heads_.size()), kEnd);
+      for (std::uint32_t at = 0; at < entries_.size(); ++at) link(at);
+    }
+    entries_.push_back({hash, kEnd, id});
+    link(static_cast<std::uint32_t>(entries_.size() - 1));
+  }
+
+  void link(std::uint32_t at) {
+    std::uint32_t& head = heads_[entries_[at].hash & (heads_.size() - 1)];
+    entries_[at].next = head;
+    head = at;
+  }
+
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> heads_;  ///< bucket -> newest entry; a power of two
+};
+
+SsamModel::SsamModel(size_t memory_budget_bytes)
+    : repo_(memory_budget_bytes), names_(std::make_unique<NameIndex>()) {
+  repo_.set_observer(names_.get());
+}
+
+SsamModel::~SsamModel() = default;
+SsamModel::SsamModel(SsamModel&&) noexcept = default;
+SsamModel& SsamModel::operator=(SsamModel&&) noexcept = default;
 
 ObjectId SsamModel::create_named(std::string_view class_name, std::string_view name) {
   ModelObject& o = repo_.create(meta().get(class_name));
@@ -220,6 +289,19 @@ std::vector<ObjectId> SsamModel::all_components_under(ObjectId root) const {
 
 ObjectId SsamModel::find_by_name(std::string_view class_name, std::string_view name) const {
   const auto& wanted = meta().get(class_name);
+  // The index holds only while it observes the repository (a repository
+  // assigned over repo_ brings no observer along).
+  if (!name.empty() && repo_.observer() == names_.get()) {
+    ObjectId first = kNullObject;  // ids grow in creation order
+    names_->for_each_candidate(name, [&](ObjectId id) {
+      if (first != kNullObject && id >= first) return;
+      const ModelObject& o = repo_.get(id);
+      if (!o.is_kind_of(wanted)) return;
+      const auto* text = std::get_if<std::string>(&o.get("name"));
+      if (text != nullptr && *text == name) first = id;
+    });
+    return first;
+  }
   return repo_.find_first([&](const ModelObject& o) {
     if (!o.is_kind_of(wanted)) return false;
     const auto* text = std::get_if<std::string>(&o.get("name"));

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "decisive/base/domain.hpp"
 #include "decisive/base/strings.hpp"
 
 namespace decisive::ssam {
@@ -13,9 +14,11 @@ namespace {
 void check_component(const SsamModel& m, const model::ModelObject& comp,
                      std::vector<ValidationFinding>& findings) {
   const std::string name = comp.get_string("name");
-  if (comp.get_real("fit") < 0.0) {
+  const double fit = comp.get_real("fit");
+  if (!is_finite_non_negative(fit)) {
     findings.push_back({"comp-fit-negative", comp.id(),
-                        "component '" + name + "' has negative FIT"});
+                        "component '" + name + "' has FIT " + format_number(fit) +
+                            ", not a finite number >= 0"});
   }
 
   // Failure modes.
@@ -24,10 +27,10 @@ void check_component(const SsamModel& m, const model::ModelObject& comp,
                                      comp.refs("failureModes").end());
   for (const ObjectId fm : comp.refs("failureModes")) {
     const double dist = m.obj(fm).get_real("distribution");
-    if (dist < 0.0 || dist > 1.0) {
+    if (!is_share(dist)) {
       findings.push_back({"fm-distribution-range", fm,
                           "failure mode '" + m.obj(fm).get_string("name") + "' of '" + name +
-                              "' has distribution outside [0,1]"});
+                              "' has distribution " + format_number(dist) + ", outside [0,1]"});
     }
     distribution_sum += dist;
   }
@@ -40,10 +43,11 @@ void check_component(const SsamModel& m, const model::ModelObject& comp,
   // Safety mechanisms.
   for (const ObjectId sm : comp.refs("safetyMechanisms")) {
     const double coverage = m.obj(sm).get_real("coverage");
-    if (coverage < 0.0 || coverage > 1.0) {
+    if (!is_share(coverage)) {
       findings.push_back({"sm-coverage-range", sm,
                           "safety mechanism '" + m.obj(sm).get_string("name") + "' on '" +
-                              name + "' has coverage outside [0,1]"});
+                              name + "' has coverage " + format_number(coverage) +
+                              ", outside [0,1]"});
     }
     for (const ObjectId covered : m.obj(sm).refs("covers")) {
       if (!own_modes.contains(covered)) {

@@ -165,9 +165,40 @@ TEST(Strings, FormatNumberMatchesPrintfOnASeededSweep) {
     const double raw = std::bit_cast<double>(rng());
     if (std::isfinite(raw)) values.push_back(raw);
   }
+  // The exact kernel's domain (|v| < 1e9, 0..9 decimals) and its edges.
+  // k/2^j with k odd has exactly j decimals, so it is an exact tie at j - 1.
+  for (int j = 1; j <= 10; ++j) {
+    for (int k = 1; k < 64; k += 2) {
+      const double tie = std::ldexp(static_cast<double>(k), -j);
+      values.push_back(tie);
+      values.push_back(-tie);
+      values.push_back(std::ldexp(static_cast<double>(k + 2 * 1024), -j));
+    }
+  }
+  const double bound = 1e9;
+  for (const double edge : {bound, std::nextafter(bound, 0.0), std::nextafter(bound, 2e9),
+                            999999999.5, 999999999.9999999, 0.99999999995, 0.9999995}) {
+    values.push_back(edge);
+    values.push_back(-edge);
+  }
+  // Negatives that round to zero ("-0" trims to "0"), subnormals, and
+  // FIT-like values in [1, 50] with shares and FIT products beside them.
+  for (const double tiny : {-1e-7, -4e-10, -0.5, -0.4999999, -5e-324, -2.2250738585072014e-308}) {
+    values.push_back(tiny);
+  }
+  std::uniform_real_distribution<double> fit(1.0, 50.0);
+  std::uniform_real_distribution<double> share(0.0, 1.0);
+  for (int i = 0; i < 2000; ++i) {
+    const double f = fit(rng);
+    const double s = share(rng);
+    values.push_back(f);
+    values.push_back(s);
+    values.push_back(f * s);
+    values.push_back(f * s * (1.0 - share(rng)));
+  }
   for (const double value : values) {
     if (!std::isfinite(value)) continue;
-    for (const int decimals : {0, 2, 6, 9}) {
+    for (const int decimals : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}) {
       ASSERT_EQ(format_number(value, decimals), trimmed_oracle(value, decimals))
           << "value " << printf_fixed(value, 20) << " decimals " << decimals;
       ASSERT_EQ(format_percent(value, decimals), printf_fixed(value * 100.0, decimals) + "%")
@@ -251,6 +282,37 @@ TEST(Csv, WriteQuotesOnlyWhenNeeded) {
   EXPECT_NE(text.find("\"with,comma\""), std::string::npos);
   const auto back = parse_csv(text);
   EXPECT_EQ(back.rows, table.rows);
+}
+
+TEST(Csv, WritePinsQuotingBytes) {
+  // A cell is quoted when it holds the separator, a quote, \n or \r at any
+  // position; inner quotes double. Empty cells and rows stay empty.
+  CsvTable table;
+  table.header = {"a", "b"};
+  table.rows = {{",x", "x,"},
+                {"\"x", "x\""},
+                {"\nx", "x\n"},
+                {"\rx", "x\r"},
+                {"", ""},
+                {},
+                {"plain", "say \"hi\""},
+                {"\"", ","}};
+  EXPECT_EQ(write_csv(table),
+            "a,b\n"
+            "\",x\",\"x,\"\n"
+            "\"\"\"x\",\"x\"\"\"\n"
+            "\"\nx\",\"x\n\"\n"
+            "\"\rx\",\"x\r\"\n"
+            ",\n"
+            "\n"
+            "plain,\"say \"\"hi\"\"\"\n"
+            "\"\"\"\",\",\"\n");
+  // Another separator: commas are plain, semicolons quoted.
+  EXPECT_EQ(write_csv(table, ';').substr(0, 16), "a;b\n,x;x,\n\"\"\"x\";");
+  CsvTable semi;
+  semi.header = {"a;b"};
+  EXPECT_EQ(write_csv(semi, ';'), "\"a;b\"\n");
+  EXPECT_EQ(write_csv(CsvTable{}), "\n");
 }
 
 class CsvRoundTrip : public ::testing::TestWithParam<std::string> {};

@@ -343,6 +343,95 @@ TEST(IncrementalTest, AddingALeafSplicesItsRows) {
   EXPECT_EQ(incremental, csv_of(session.cold_analyze()));
 }
 
+TEST(IncrementalTest, StructuralEditsAmongValueEditsStayByteIdenticalToCold) {
+  // Value edits (FIT, a new failure mode, a deployed mechanism) reuse the
+  // previous run's unit list; structural edits (a new composite
+  // subcomponent, a removed IONode, a removed subcomponent) must be seen
+  // and walked. Every turn equals a cold run, byte for byte.
+  std::mt19937 rng(20261020u);
+  auto sys = core::make_scaled_architecture(4, 3);
+  SsamModel& m = *sys.model;
+  core::GraphFmeaOptions options;
+  AnalysisSession session(m, sys.system, options);
+  session.reanalyze();
+
+  std::vector<ObjectId> units;  // the composites directly under the system
+  for (const ObjectId c : m.components_of(sys.system)) units.push_back(c);
+  std::vector<std::pair<ObjectId, ObjectId>> added;  // (unit, new composite)
+  size_t reused = 0;
+  size_t walked = 0;
+  for (int step = 0; step < 60; ++step) {
+    const ObjectId unit = units[rng() % units.size()];
+    const ObjectId leaf = m.components_of(unit)[rng() % m.components_of(unit).size()];
+    const std::string tag = std::to_string(step);
+    ObjectId edited = leaf;
+    bool structural = false;
+    switch (rng() % 6) {
+      case 0:
+        m.obj(leaf).set_real("fit", 1.0 + static_cast<double>(rng() % 50));
+        break;
+      case 1:
+        m.add_failure_mode(leaf, "FM-" + tag, 0.2, "lossOfFunction");
+        break;
+      case 2:
+        m.add_safety_mechanism(leaf, "SM-" + tag, 0.9, 1.0, model::kNullObject);
+        break;
+      case 3: {  // a new composite subcomponent: a unit of its own
+        const ObjectId composite = m.create_component(unit, "New" + tag);
+        const ObjectId in = m.add_io_node(composite, "in", "in");
+        const ObjectId out = m.add_io_node(composite, "out", "out");
+        m.add_io_node(composite, "aux", "inout");
+        const ObjectId inner = m.create_component(composite, "Inner" + tag);
+        const ObjectId inner_in = m.add_io_node(inner, "in", "in");
+        const ObjectId inner_out = m.add_io_node(inner, "out", "out");
+        m.add_failure_mode(inner, "Open", 0.5, "lossOfFunction");
+        m.obj(inner).set_real("fit", 3.0);
+        m.connect(composite, in, inner_in);
+        m.connect(composite, inner_out, out);
+        added.emplace_back(unit, composite);
+        edited = unit;
+        structural = true;
+        break;
+      }
+      case 4: {  // a removed IONode: the spare one, or every one (no longer a unit)
+        if (added.empty()) continue;
+        const ObjectId composite = added[rng() % added.size()].second;
+        const std::vector<ObjectId> nodes = m.obj(composite).refs("ioNodes");
+        if (nodes.empty()) continue;
+        if (nodes.size() == 3 && rng() % 2 == 0) {
+          m.obj(composite).remove_ref("ioNodes", nodes.back());  // "aux"
+        } else {
+          for (const ObjectId node : nodes) m.obj(composite).remove_ref("ioNodes", node);
+        }
+        edited = composite;
+        structural = true;
+        break;
+      }
+      default: {  // a removed composite subcomponent
+        if (added.empty()) continue;
+        const size_t pick = rng() % added.size();
+        const auto [owner, composite] = added[pick];
+        m.obj(owner).remove_ref("subcomponents", composite);
+        added.erase(added.begin() + static_cast<std::ptrdiff_t>(pick));
+        edited = owner;
+        structural = true;
+        break;
+      }
+    }
+    session.note_edit(edited);
+    const std::string incremental = csv_of(session.reanalyze());
+    ASSERT_EQ(incremental, csv_of(session.cold_analyze())) << "diverged at step " << step;
+    if (!structural) {
+      reused += 1;
+      EXPECT_TRUE(session.last_stats().units_reused) << "value edit walked at step " << step;
+    } else {
+      walked += session.last_stats().units_reused ? 0 : 1;
+    }
+  }
+  EXPECT_GT(reused, 10u);
+  EXPECT_GT(walked, 5u);
+}
+
 // ---------------------------------------------------------------------------
 // Cache persistence + poisoning
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <random>
 
 #include "decisive/base/error.hpp"
 #include "decisive/oracle/paths.hpp"
@@ -150,6 +151,53 @@ TEST(SsamFacade, FindByNameReturnsTheFirstCreatedMatch) {
   EXPECT_EQ(m.find_by_name(cls::Component, "Twin"), second);
   // The class filter applies before the name: a package is not a Component.
   EXPECT_EQ(m.find_by_name(cls::Component, "pkg"), model::kNullObject);
+}
+
+TEST(SsamFacade, FindByNameMatchesTheScanUnderRenamesAndCreations) {
+  // The name index sees names written through the typed facade, through
+  // the generic ModelObject::set and on objects created straight in the
+  // repository; every lookup must equal the first-created match of a scan.
+  SsamModel m;
+  const auto pkg = m.create_component_package("pkg");
+  const auto haz = m.create_hazard_package("hazards");
+  const std::vector<std::string> names = {"A", "B", "C", "pkg", "hazards", ""};
+  const auto scan = [&](std::string_view class_name, std::string_view name) {
+    const auto& wanted = m.meta().get(class_name);
+    return m.repo().find_first([&](const model::ModelObject& o) {
+      if (!o.is_kind_of(wanted)) return false;
+      const auto* text = std::get_if<std::string>(&o.get("name"));
+      return text != nullptr ? *text == name : name.empty();
+    });
+  };
+  std::mt19937 rng(18);
+  std::vector<ObjectId> objects{pkg, haz};
+  for (int step = 0; step < 400; ++step) {
+    const std::string& name = names[rng() % 5];
+    switch (rng() % 5) {
+      case 0:  // a later object with a name that may be taken
+        objects.push_back(m.create_component(pkg, name));
+        break;
+      case 1:  // another kind under the same name
+        objects.push_back(m.create_hazard(haz, name, "S1", 1e-6, "QM"));
+        break;
+      case 2: {  // created in the repository, named by the generic setter
+        auto& o = m.repo().create(m.meta().get(cls::IONode));
+        o.set("name", model::Value(name));
+        objects.push_back(o.id());
+        break;
+      }
+      default:  // rename any earlier object, the packages included
+        m.obj(objects[rng() % objects.size()]).set_string("name", name);
+        break;
+    }
+    for (const auto& wanted : names) {
+      for (const auto* class_name : {cls::Component, cls::HazardousSituation, cls::IONode,
+                                     cls::ComponentPackage, cls::ModelElement}) {
+        ASSERT_EQ(m.find_by_name(class_name, wanted), scan(class_name, wanted))
+            << "step " << step << " class " << class_name << " name '" << wanted << "'";
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------- federation --

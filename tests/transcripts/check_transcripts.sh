@@ -82,6 +82,10 @@ run_case sm_search_target "same $SEARCH --target-asil B"
 run_case sm_search_optimal "same $SEARCH --target-asil B --optimal"
 run_case impact "same impact assets/brake_chain.ssam Sensor"
 run_case validate "same validate assets/brake_chain.ssam"
+# A NaN distribution read from the model file fails the range rule.
+run_case validate_nan "
+  sed 's/value=\"0.6\"/value=\"nan\"/' assets/brake_chain.ssam > nan.ssam
+  same validate nan.ssam"
 run_case monitor "same monitor assets/brake_chain.ssam"
 run_case session "same session < inputs/session_script.txt"
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "decisive/fta/engine.hpp"
 #include "decisive/fta/quantify.hpp"
@@ -79,6 +80,27 @@ TEST(Validate, SmCoverageAndForeignCovers) {
   const auto findings = validate(f.m);
   EXPECT_TRUE(has_rule(findings, "sm-coverage-range"));
   EXPECT_TRUE(has_rule(findings, "sm-covers-foreign"));
+}
+
+TEST(Validate, NonFiniteValuesFailTheRangeRules) {
+  // NaN passes "x < 0" and "x > 1" alike; the rules use the entry checks of
+  // base/domain.hpp, which NaN (and an infinite FIT) fails.
+  Fixture f;
+  const auto comp = f.m.create_component(f.sys, "c1");
+  const auto fm = f.m.add_failure_mode(comp, "A", 0.5, "lossOfFunction");
+  const auto sm = f.m.add_safety_mechanism(comp, "sm", 0.9, 1.0, fm);
+  EXPECT_TRUE(validate(f.m).empty());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  f.m.obj(comp).set_real("fit", nan);
+  f.m.obj(fm).set_real("distribution", nan);
+  f.m.obj(sm).set_real("coverage", nan);
+  auto findings = validate(f.m);
+  EXPECT_TRUE(has_rule(findings, "comp-fit-negative"));
+  EXPECT_TRUE(has_rule(findings, "fm-distribution-range"));
+  EXPECT_TRUE(has_rule(findings, "sm-coverage-range"));
+  f.m.obj(comp).set_real("fit", std::numeric_limits<double>::infinity());
+  findings = validate(f.m);
+  EXPECT_TRUE(has_rule(findings, "comp-fit-negative"));
 }
 
 TEST(Validate, RelationshipEndpoints) {
