@@ -94,15 +94,21 @@ class CampaignRunner {
   [[nodiscard]] std::vector<size_t> shard_task_indices() const;
 
  private:
+  /// The campaign's own fault-injection hooks, read from the environment
+  /// once per run() (see campaign.cpp).
+  struct CrashHooks;
+
   /// `context`/`ws` carry the campaign's factor-once solve context and this
   /// worker's scratch (null when the fast path is disabled or unusable); the
   /// first attempt tries the fast path, and every fallback/retry re-runs the
   /// classic dense ladder.
   [[nodiscard]] FmedaRow run_task(const Task& task, const sim::OperatingPoint& baseline,
+                                  const CrashHooks& hooks,
                                   const sim::CampaignSparseContext* context,
                                   sim::CampaignSparseContext::Workspace* ws) const;
   [[nodiscard]] FmedaRow run_task_once(const Task& task, const sim::OperatingPoint& baseline,
                                        const sim::SolveOptions& solver, int attempt,
+                                       const CrashHooks& hooks,
                                        const sim::CampaignSparseContext* context,
                                        sim::CampaignSparseContext::Workspace* ws) const;
 

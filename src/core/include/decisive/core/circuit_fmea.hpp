@@ -85,15 +85,16 @@ struct CircuitFmeaOptions {
   bool batch = true;
   /// Unread, like `batch`, and for the same reason: `solver.sparse` is the
   /// one switch of the campaign's factor-once fast path
-  /// (campaign_solver.hpp). One nominal stamp plan and symbolic analysis are
-  /// shared read-only by every worker; faults that keep the nominal stamp
-  /// stream refactor numerics only, and structural Open/Short faults reuse
-  /// the symbolic prefix. Rows are accepted only behind correctness gates —
-  /// the naive fallback always runs the dense kernel — so output is
-  /// byte-identical either way and, like `jobs` and the shard spec, the
-  /// switch is excluded from the campaign fingerprint, so journals
-  /// interchange freely. `solver.sparse = false` is the `--no-sparse`
-  /// escape hatch.
+  /// (campaign_solver.hpp), and CampaignRunner is its one reader. One
+  /// nominal stamp plan and symbolic analysis are shared read-only by every
+  /// worker; faults that keep the nominal stamp stream refactor numerics
+  /// only, and structural Open/Short faults reuse the symbolic prefix. Rows
+  /// are accepted only behind correctness gates, and the baseline, the naive
+  /// fallback and the retries are one-shot solves, which always run dense,
+  /// so output is byte-identical either way. Like `jobs` and the shard spec,
+  /// the switch is excluded from the campaign fingerprint, so journals
+  /// interchange freely. `solver.sparse = false` is the `--no-sparse` escape
+  /// hatch.
   bool sparse = true;
   /// Journal / shard / containment controls of the campaign run.
   CampaignExecution execution;

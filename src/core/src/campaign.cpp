@@ -118,9 +118,22 @@ EffectClass classify(const CircuitFmeaOptions& options, const sim::OperatingPoin
 /// to relative_threshold are re-decided by the naive solve.
 constexpr double kClassifyGuard = 1e-6;
 
+/// A task's row identity: component, type, FIT, mode and distribution.
+FmedaRow identity_row(const CampaignRunner::Task& task) {
+  FmedaRow row;
+  row.component = task.component->path;
+  row.component_type = task.reliability->component_type;
+  row.fit = task.reliability->fit;
+  row.failure_mode = task.mode->name;
+  row.distribution = task.mode->distribution;
+  return row;
+}
+
+}  // namespace
+
 /// Campaign fault-injection hooks (for the containment tests: the campaign
 /// engine eats its own dog food and is itself tested by fault injection).
-/// Read fresh per run so tests can flip them between campaigns in-process.
+/// Read once per run, so tests can flip them between campaigns in-process.
 ///
 ///  - DECISIVE_CAMPAIGN_TASK_THROW="<component-path>/<mode-name>[@k]": the
 ///    matching task throws std::runtime_error from inside run_task_once —
@@ -130,23 +143,31 @@ constexpr double kClassifyGuard = 1e-6;
 ///  - DECISIVE_CAMPAIGN_WORKER_DIE=<global-task-index>: the worker thread
 ///    that picks up that task dies *outside* task containment — must trip
 ///    the circuit breaker and finish the campaign serially.
-struct CrashHooks {
-  std::string task_throw;
+struct CampaignRunner::CrashHooks {
+  std::string task_throw;  ///< "<component-path>/<mode-name>"; empty = off
+  long task_throw_below = std::numeric_limits<long>::max();
   long worker_die = -1;
 
   static CrashHooks from_env() {
     CrashHooks hooks;
     if (const char* spec = std::getenv("DECISIVE_CAMPAIGN_TASK_THROW")) {
       hooks.task_throw = spec;
+      if (const auto at = hooks.task_throw.rfind('@'); at != std::string::npos) {
+        hooks.task_throw_below = std::strtol(hooks.task_throw.c_str() + at + 1, nullptr, 10);
+        hooks.task_throw.resize(at);
+      }
     }
     if (const char* index = std::getenv("DECISIVE_CAMPAIGN_WORKER_DIE")) {
       hooks.worker_die = std::strtol(index, nullptr, 10);
     }
     return hooks;
   }
-};
 
-}  // namespace
+  [[nodiscard]] bool task_throws(const Task& task, int attempt) const {
+    return !task_throw.empty() && attempt < task_throw_below &&
+           task.component->path + "/" + task.mode->name == task_throw;
+  }
+};
 
 std::string outcome_warning(const FmedaRow& row) {
   std::string warning;
@@ -279,28 +300,15 @@ std::vector<size_t> CampaignRunner::shard_task_indices() const {
 FmedaRow CampaignRunner::run_task_once(const Task& task,
                                        const sim::OperatingPoint& baseline,
                                        const sim::SolveOptions& solver, int attempt,
+                                       const CrashHooks& hooks,
                                        const sim::CampaignSparseContext* context,
                                        sim::CampaignSparseContext::Workspace* ws) const {
-  FmedaRow row;
-  row.component = task.component->path;
-  row.component_type = task.reliability->component_type;
-  row.fit = task.reliability->fit;
-  row.failure_mode = task.mode->name;
-  row.distribution = task.mode->distribution;
-
+  FmedaRow row = identity_row(task);
   sim::Fault fault;
   fault.element = task.component->element;
   try {
-    if (const char* throw_env = std::getenv("DECISIVE_CAMPAIGN_TASK_THROW")) {
-      std::string spec = throw_env;
-      long throw_below = std::numeric_limits<long>::max();
-      if (const auto at = spec.rfind('@'); at != std::string::npos) {
-        throw_below = std::strtol(spec.c_str() + at + 1, nullptr, 10);
-        spec.resize(at);
-      }
-      if (attempt < throw_below && task.component->path + "/" + task.mode->name == spec) {
-        throw std::runtime_error("injected task crash (DECISIVE_CAMPAIGN_TASK_THROW)");
-      }
+    if (hooks.task_throws(task, attempt)) {
+      throw std::runtime_error("injected task crash (DECISIVE_CAMPAIGN_TASK_THROW)");
     }
     fault.kind = sim::fault_kind_from_name(task.mode->name);
     const sim::Circuit faulted = sim::inject_fault(
@@ -334,13 +342,11 @@ FmedaRow CampaignRunner::run_task_once(const Task& task,
       metrics.sparse_fallbacks.add();
     }
 
-    // Naive oracle: always the dense kernel, whatever the session-level
-    // sparse default — the FMEDA byte-identity contract is "same bytes as a
-    // dense-only campaign", and every gate above funnels doubt down here.
-    sim::SolveOptions naive = solver;
-    naive.sparse = false;
+    // Naive oracle: the dense ladder of a one-shot solve. The FMEDA
+    // byte-identity contract is "same bytes as a dense-only campaign", and
+    // every gate above funnels doubt down here.
     sim::SolveDiagnostics diagnostics;
-    const auto after = sim::try_dc_operating_point(faulted, naive, diagnostics);
+    const auto after = sim::try_dc_operating_point(faulted, solver, diagnostics);
     row.solver_iterations = diagnostics.iterations;
     row.ladder_rung = diagnostics.ladder_rung;
     if (after.has_value()) {
@@ -392,13 +398,14 @@ FmedaRow CampaignRunner::run_task_once(const Task& task,
 }
 
 FmedaRow CampaignRunner::run_task(const Task& task, const sim::OperatingPoint& baseline,
+                                  const CrashHooks& hooks,
                                   const sim::CampaignSparseContext* context,
                                   sim::CampaignSparseContext::Workspace* ws) const {
   CampaignMetrics& metrics = CampaignMetrics::get();
   metrics.tasks.add();
   obs::Span span("campaign.task", &metrics.task_seconds);
 
-  FmedaRow row = run_task_once(task, baseline, options_.solver, 0, context, ws);
+  FmedaRow row = run_task_once(task, baseline, options_.solver, 0, hooks, context, ws);
 
   // Containment retries: a crashed or budget-exhausted task gets up to
   // max_retries re-runs, each with a fresh solve (the ladder restarts from
@@ -420,7 +427,7 @@ FmedaRow CampaignRunner::run_task(const Task& task, const sim::OperatingPoint& b
     }
     // Retries deliberately skip the fast path: a crash/budget outcome is
     // exactly the suspicious case the naive ladder must re-decide.
-    row = run_task_once(task, baseline, tighter, attempt, nullptr, nullptr);
+    row = run_task_once(task, baseline, tighter, attempt, hooks, nullptr, nullptr);
     row.retries = attempt;
   }
 
@@ -444,6 +451,7 @@ FmedaResult CampaignRunner::run() const {
   obs::Span run_span("campaign.run", &metrics.run_seconds);
 
   const CampaignExecution& execution = options_.execution;
+  const CrashHooks hooks = CrashHooks::from_env();
   if (execution.shard_count < 1 || execution.shard_index < 0 ||
       execution.shard_index >= execution.shard_count) {
     throw AnalysisError("invalid shard spec " + std::to_string(execution.shard_index) + "/" +
@@ -535,12 +543,9 @@ FmedaResult CampaignRunner::run() const {
     sim::SolveDiagnostics baseline_diagnostics;
     {
       obs::Span baseline_span("campaign.baseline");
-      // The baseline anchors every row's classification, so it always runs
-      // on the dense kernel: campaign bytes must not depend on the sparse
-      // default (the fast path is gated against exactly this baseline).
-      sim::SolveOptions baseline_solver = options_.solver;
-      baseline_solver.sparse = false;
-      baseline = sim::try_dc_operating_point(built_.circuit, baseline_solver,
+      // The baseline anchors every row's classification; like every one-shot
+      // solve it runs dense, and the fast path is gated against it.
+      baseline = sim::try_dc_operating_point(built_.circuit, options_.solver,
                                              baseline_diagnostics);
     }
     if (!baseline.has_value()) {
@@ -554,12 +559,7 @@ FmedaResult CampaignRunner::run() const {
       // fixed baseline must re-execute them.
       for (const size_t s : pending) {
         const Task& task = tasks_[shard[s]];
-        FmedaRow& row = rows[s];
-        row.component = task.component->path;
-        row.component_type = task.reliability->component_type;
-        row.fit = task.reliability->fit;
-        row.failure_mode = task.mode->name;
-        row.distribution = task.mode->distribution;
+        FmedaRow& row = rows[s] = identity_row(task);
         row.outcome = FaultOutcome::NotApplicable;
         row.outcome_detail = detail + "; best-effort degraded result";
         count_outcome(row);
@@ -592,7 +592,7 @@ FmedaResult CampaignRunner::run() const {
   // deterministic for any job count.
   if (!pending.empty()) {
     auto process = [&](size_t s, sim::CampaignSparseContext::Workspace& ws, int worker_id) {
-      rows[s] = run_task(tasks_[shard[s]], *baseline, context ? &*context : nullptr,
+      rows[s] = run_task(tasks_[shard[s]], *baseline, hooks, context ? &*context : nullptr,
                          context ? &ws : nullptr);
       if (journal != nullptr) {
         journal->append(shard[s], rows[s]);
@@ -612,7 +612,6 @@ FmedaResult CampaignRunner::run() const {
       sim::CampaignSparseContext::Workspace ws;
       for (const size_t s : pending) process(s, ws, 0);
     } else {
-      const CrashHooks hooks = CrashHooks::from_env();
       std::atomic<size_t> next{0};
       std::atomic<bool> failed{false};
       std::exception_ptr first_error;

@@ -297,10 +297,10 @@ class Service {
     }
     const core::FmedaResult result =
         core::analyze_circuit(built, reliability, nullptr, options);
+    const double spfm = result.spfm();  // before the first byte of the reply
     out_ << "campaign " << result.outcome_summary() << "\n";
-    out_ << "rows " << result.rows.size() << " spfm " << format_percent(result.spfm())
-         << " " << core::achieved_asil(result.spfm()) << " warnings "
-         << result.warnings.size() << "\n";
+    out_ << "rows " << result.rows.size() << " spfm " << format_percent(spfm) << " "
+         << core::achieved_asil(spfm) << " warnings " << result.warnings.size() << "\n";
   }
 
   /// Safety-mechanism Pareto front on the session's current analysis,
@@ -407,8 +407,12 @@ class Service {
   void cmd_result() {
     if (!require_session().has_result()) throw ModelError("no analysis yet (use: reanalyze)");
     const core::FmedaResult& result = session_->last_result();
-    out_ << "spfm " << format_percent(result.spfm()) << "\n";
-    out_ << "asil " << result.asil_label() << "\n";
+    // The metric first: an undefined SPFM answers one `error:` line, never
+    // a torn reply.
+    const std::string spfm = format_percent(result.spfm());
+    const std::string asil = result.asil_label();
+    out_ << "spfm " << spfm << "\n";
+    out_ << "asil " << asil << "\n";
     out_ << "rows " << result.rows.size() << " safety-related "
          << result.safety_related_components().size() << " warnings "
          << result.warnings.size() << "\n";

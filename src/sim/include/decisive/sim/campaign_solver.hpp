@@ -1,4 +1,6 @@
-// Factor-once solving for fault-injection campaigns.
+// Factor-once solving for fault-injection campaigns, and the one caller of
+// the sparse kernel (sparse.hpp): one-shot DC, transient and AC solves run
+// dense.
 //
 // Every fault variant's MNA system is the nominal one with one element
 // changed. A CampaignSparseContext solves the nominal circuit once on the
@@ -100,12 +102,13 @@ class CampaignSparseContext {
     std::unique_ptr<Impl> impl_;
   };
 
-  /// Solves the nominal circuit (plain Newton on the sparse kernel) and
-  /// freezes its stamp plan and symbolic analysis. The analysis is paid
-  /// once per campaign, so the context runs at every system dimension —
-  /// kSparseMinDim gates one-shot solves only. Unusable
-  /// when sparse is disabled, the system is empty, or the nominal solve
-  /// needed anything beyond a clean sparse Newton run.
+  /// Solves the nominal circuit (plain Newton on the sparse kernel, through
+  /// the same solve step as every fault) and freezes its stamp plan and
+  /// symbolic analysis. The analysis is paid once per campaign, so the
+  /// context runs at every system dimension. Unusable when the system is
+  /// empty or the nominal solve needed anything beyond a clean sparse Newton
+  /// run. Whether to build one at all is the caller's choice
+  /// (SolveOptions::sparse); the constructor does not read it.
   CampaignSparseContext(const Circuit& nominal, const SolveOptions& options);
 
   [[nodiscard]] bool usable() const noexcept { return usable_; }

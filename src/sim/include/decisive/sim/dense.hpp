@@ -181,7 +181,8 @@ class LuFactorization {
 /// kernel; now both element types throw SimulationError up front. Only the
 /// one-shot public entry points pay this per call — the repeated-solve paths
 /// (Newton, transient, AC sweep, campaign) fix their shape once per circuit
-/// structure (mna::Structure / mna::SparsePlan) and reuse flat workspaces.
+/// structure (mna::Structure, the campaign's sparse plan) and reuse flat
+/// workspaces.
 template <typename T>
 void validate_system(const std::vector<std::vector<T>>& a, const std::vector<T>& b) {
   const std::size_t n = b.size();

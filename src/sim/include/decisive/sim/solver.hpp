@@ -35,13 +35,6 @@ struct OperatingPoint {
   [[nodiscard]] double reading(const std::string& name) const;
 };
 
-/// One-shot solves (DC, transient, AC) of fewer unknowns stay on the dense
-/// kernel, which is as fast there. The fill gate measures every sparse
-/// factorisation against a dense one of at least this many unknowns, so the
-/// campaign context, which pays its symbolic analysis once and runs at any
-/// dimension, is not rejected on small systems.
-inline constexpr std::size_t kSparseMinDim = 48;
-
 /// Solver tuning knobs.
 struct SolveOptions {
   int max_newton_iterations = 200;
@@ -56,17 +49,17 @@ struct SolveOptions {
   /// attempt; <= 0 disables the budget.
   double max_wall_clock_seconds = 5.0;
 
-  /// Use the sparse symbolic-LU kernel for systems of at least
-  /// kSparseMinDim unknowns (the campaign context: any size): the stamp
-  /// pattern is analysed once per circuit structure and every later Newton
-  /// iteration / transient step / AC point / campaign fault replays the
-  /// numbers through the frozen pattern. Any numeric surprise (pivot-gate
-  /// trip, fill blow-up, non-convergence) silently re-runs the attempt on the
-  /// dense kernel, so results agree with `sparse = false` to solver
-  /// precision; the flag is an escape hatch, not a different answer.
+  /// Build the fault-injection campaign's factor-once context
+  /// (campaign_solver.hpp): the one user of the sparse symbolic-LU kernel,
+  /// read only by core::CampaignRunner. One-shot DC, transient and AC solves
+  /// always run on the dense kernel, whatever this says. The context's rows
+  /// pass correctness gates and anything doubtful is re-solved dense, so a
+  /// campaign's output is the same either way; `false` (`same --no-sparse`)
+  /// is an escape hatch, not a different answer.
   bool sparse = true;
-  /// Fill gate: L+U entries above sparse_max_fill * max(n, kSparseMinDim)^2
-  /// send the solve to the dense kernel.
+  /// Fill gate of the campaign context: a new sparse factorisation with more
+  /// than sparse_max_fill * max(n, 48)^2 L+U entries is rejected and the
+  /// fault goes to the dense kernel.
   double sparse_max_fill = 0.25;
   /// When plain Newton gives up, try gmin stepping then source stepping
   /// before declaring the solve failed.

@@ -5,10 +5,11 @@
 // The design mirrors KLU's shape (the de-facto circuit-simulation
 // factorisation): the *symbolic* analysis — column ordering, pivot row
 // assignment and the full L/U elimination pattern — is computed once per
-// circuit structure and frozen; every subsequent Newton iteration, transient
-// step, AC point or campaign fault with the same structure replays a purely
-// *numeric* refactorisation over that frozen pattern (no graph traversal, no
-// allocation). Structural faults that delete one branch unknown reuse the
+// circuit structure and frozen; every subsequent Newton iteration or
+// campaign fault with the same structure replays a purely *numeric*
+// refactorisation over that frozen pattern (no graph traversal, no
+// allocation). The fault-injection campaign's CampaignSparseContext is the
+// one caller; one-shot DC, transient and AC solves stay dense. Structural faults that delete one branch unknown reuse the
 // untouched symbolic prefix via partial_factor() and re-run the
 // Gilbert-Peierls sweep only from the first touched column.
 //
@@ -25,7 +26,6 @@
 // immutable once frozen.
 #pragma once
 
-#include <complex>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -129,7 +129,6 @@ struct Symbolic {
 /// reuses an unchanged symbolic prefix across a structural edit. All three
 /// report numerical trouble by returning false (never throwing), so callers
 /// can fall back to the dense oracle without disturbing control flow.
-template <typename T>
 class SparseLu {
  public:
   /// Full factorisation of `values` (CSC, parallel to `pattern.row_ind`):
@@ -137,13 +136,13 @@ class SparseLu {
   /// fresh Symbolic. Returns false (with `error` set) when the matrix is
   /// numerically singular under the relative pivot floor shared with the
   /// dense kernel.
-  bool factor(const Pattern& pattern, const T* values, std::string* error);
+  bool factor(const Pattern& pattern, const double* values, std::string* error);
 
   /// Numeric-only replay over the adopted Symbolic (from a prior factor(),
   /// partial_factor() or adopt()). The pattern must be the one the symbolic
   /// was built for. Returns false when a frozen pivot fails the stability
   /// gate or the relative floor — re-pivot via factor() or go dense.
-  bool refactor(const Pattern& pattern, const T* values, std::string* error);
+  bool refactor(const Pattern& pattern, const double* values, std::string* error);
 
   /// Partial refactorisation across a structural edit: `base` was built for
   /// `base_pattern`; `new_of_old` maps every old row/column index to its new
@@ -155,7 +154,7 @@ class SparseLu {
   /// a pivot-gate trip or singularity — fall back to a full factor().
   bool partial_factor(const Symbolic& base, const Pattern& base_pattern,
                       const std::vector<std::int32_t>& new_of_old, const Pattern& pattern,
-                      const T* values, std::size_t* reused_columns, std::string* error);
+                      const double* values, std::size_t* reused_columns, std::string* error);
 
   /// Adopts a shared Symbolic (e.g. the campaign's cached one) so the next
   /// call can be a refactor() without a private factor() first.
@@ -163,7 +162,7 @@ class SparseLu {
 
   /// Solves A x = b in place; `b` must hold n entries. Only valid after a
   /// successful factor()/refactor()/partial_factor().
-  void solve_in_place(T* b) const;
+  void solve_in_place(double* b) const;
 
   [[nodiscard]] const std::shared_ptr<const Symbolic>& symbolic() const noexcept {
     return sym_;
@@ -174,34 +173,31 @@ class SparseLu {
   [[nodiscard]] std::size_t lu_nnz() const noexcept { return sym_ ? sym_->lu_nnz() : 0; }
 
  private:
-  bool gilbert_peierls(const Pattern& pattern, const T* values,
+  bool gilbert_peierls(const Pattern& pattern, const double* values,
                        const std::vector<std::int32_t>& col_order, std::size_t start_pos,
                        Symbolic& sym, std::vector<std::int32_t>& pinv, double floor,
                        std::string* error);
-  bool replay_prefix(const Symbolic& sym, const Pattern& pattern, const T* values,
+  bool replay_prefix(const Symbolic& sym, const Pattern& pattern, const double* values,
                      std::size_t end_pos, double floor, std::string* error);
   void finish(const Pattern& pattern, bool new_structure);
 
   std::shared_ptr<const Symbolic> sym_;
-  std::vector<T> l_val_;
-  std::vector<T> u_val_;
-  std::vector<T> u_diag_;
+  std::vector<double> l_val_;
+  std::vector<double> u_val_;
+  std::vector<double> u_diag_;
   bool factored_ = false;
   double fill_ratio_ = 0.0;
 
   // Scratch (sized n on demand, reused across calls).
-  std::vector<T> x_;
+  std::vector<double> x_;
   std::vector<std::int32_t> mark_;
   std::vector<std::int32_t> stack_;
   std::vector<std::int32_t> pstack_;
   std::vector<std::int32_t> topo_;
   std::vector<std::int32_t> rows_;
-  mutable std::vector<T> solve_scratch_;
+  mutable std::vector<double> solve_scratch_;
   std::int32_t pass_ = 0;
 };
-
-extern template class SparseLu<double>;
-extern template class SparseLu<std::complex<double>>;
 
 /// Registry handles cached once per process, same idiom as
 /// mna::SolverMetrics: kernel-level sparse counters plus the structure
@@ -215,11 +211,10 @@ struct SparseMetrics {
   obs::Counter& partial_reused_columns;  ///< symbolic prefix columns reused across those
   obs::Counter& symbolic_reuse;     ///< factorisations that adopted a cached Symbolic
   obs::Counter& plan_builds;        ///< stamp patterns derived from scratch (SparsePlan::build)
-  obs::Counter& fallback_small_dim;      ///< one-shot solve dense because dim < kSparseMinDim
   obs::Counter& fallback_fill;           ///< dense because fill ratio exceeded the gate
   obs::Counter& fallback_singular;       ///< dense because the sparse factor hit the floor
   obs::Counter& fallback_pivot;          ///< dense because repivoting did not heal the gate
-  obs::Counter& fallback_not_converged;  ///< dense re-run because sparse Newton gave up
+  obs::Counter& fallback_not_converged;  ///< campaign nominal solve did not converge sparse
   obs::Gauge& nnz;         ///< A nonzeros of the last factored pattern
   obs::Gauge& lu_nnz;      ///< L+U entries of the last factorisation
   obs::Gauge& fill_gauge;  ///< lu_nnz / nnz of the last factorisation
@@ -234,7 +229,6 @@ struct SparseMetrics {
         registry.counter("decisive_sparse_partial_reused_columns_total"),
         registry.counter("decisive_sparse_symbolic_reuse_total"),
         registry.counter("decisive_sparse_plan_builds_total"),
-        registry.counter("decisive_sparse_fallback_small_dim_total"),
         registry.counter("decisive_sparse_fallback_fill_total"),
         registry.counter("decisive_sparse_fallback_singular_total"),
         registry.counter("decisive_sparse_fallback_pivot_total"),

@@ -1,8 +1,7 @@
-// Internal MNA machinery shared by the single-solve path (solver.cpp) and
-// the factor-once campaign path (campaign_solver.cpp): system
+// Internal MNA machinery shared by the one-shot dense solves (solver.cpp)
+// and the factor-once campaign path (campaign_solver.cpp): system
 // structure analysis, stamp assembly, diode linearisation, the bounded
-// Newton loop with a pluggable linear-solve step, and the one sparse factor
-// step (FactorStep) behind every sparse solve, AC included.
+// Newton loop with a pluggable linear-solve step, and the dense solve step.
 //
 // Not installed; everything here is an implementation detail of the sim
 // library. The assembly and iteration logic is a verbatim extraction of the
@@ -25,7 +24,6 @@
 #include "decisive/sim/circuit.hpp"
 #include "decisive/sim/dense.hpp"
 #include "decisive/sim/solver.hpp"
-#include "decisive/sim/sparse.hpp"
 
 namespace decisive::sim::mna {
 
@@ -252,35 +250,25 @@ inline void stamp_element(const Circuit& circuit, std::size_t i, const SolveOpti
   }
 }
 
-/// Stamps the MNA system for the given diode linearisation point into `rhs`
-/// (always) and an arbitrary matrix sink: `add(row, col, value)` is invoked
-/// for every matrix stamp in the exact order of the original solver. The
-/// dense path adds into flat row-major storage; the sparse path records
-/// coordinates (pattern build) or replays them through a frozen slot
-/// sequence (numeric refill) — one stamp pass, three consumers, and because
-/// the element loop is shared the add sequence is identical across them.
-/// `flatten` (here and on the split refills) inlines the per-element stamp
-/// calls into the loop; left to itself the compiler keeps them out of line,
-/// a call per element on the hottest path of a campaign.
-template <typename AddFn>
-[[gnu::flatten]] inline void assemble_with(const Circuit& circuit, const SolveOptions& opt,
-                          const CompanionState& state, const Structure& st,
-                          const std::vector<double>& diode_v, AddFn&& add, double* rhs) {
+/// Stamps the MNA system for the given diode linearisation point into flat
+/// row-major `dim x dim` storage `a` and `rhs`, both pre-zeroed, in the
+/// exact order of the original solver. The add is `+=` of the signed stamp,
+/// which is the same IEEE operation the old in-lambda `-=` performed, so no
+/// output byte moved. The campaign's sparse plan (campaign_solver.cpp)
+/// records and replays the same per-element stamp calls, so its add sequence
+/// matches this one. `flatten` (here and on the sparse refills) inlines the
+/// per-element stamp calls into the loop; left to itself the compiler keeps
+/// them out of line, a call per element on the hottest path of a campaign.
+[[gnu::flatten]] inline void assemble(const Circuit& circuit, const SolveOptions& opt,
+                                      const CompanionState& state, const Structure& st,
+                                      const std::vector<double>& diode_v, double* a,
+                                      double* rhs) {
+  const std::size_t dim = st.dim;
+  auto add = [a, dim](std::size_t r, std::size_t c, double v) { a[r * dim + c] += v; };
   stamp_gmin(opt, st, add);
   for (std::size_t i = 0; i < circuit.elements().size(); ++i) {
     stamp_element(circuit, i, opt, state, st, diode_v, add, rhs);
   }
-}
-
-/// The classic entry point over flat row-major `dim x dim` storage. Both
-/// buffers must be pre-zeroed. The dense add is `+=` of the signed stamp, which is the same
-/// IEEE operation the old in-lambda `-=` performed, so no output byte moved.
-inline void assemble(const Circuit& circuit, const SolveOptions& opt,
-                     const CompanionState& state, const Structure& st,
-                     const std::vector<double>& diode_v, double* a, double* rhs) {
-  const std::size_t dim = st.dim;
-  assemble_with(circuit, opt, state, st, diode_v,
-                [a, dim](std::size_t r, std::size_t c, double v) { a[r * dim + c] += v; }, rhs);
 }
 
 inline SolveResult extract_result(const Circuit& circuit, const Structure& st,
@@ -308,7 +296,7 @@ inline SolveResult extract_result(const Circuit& circuit, const Structure& st,
 /// returns false with `failure`/`message` set (singular system, fill gate
 /// tripped, ...). Everything else — budgets, the non-finite guard, diode
 /// voltage limiting, and the convergence test — is shared verbatim between
-/// the dense, sparse and campaign paths.
+/// the dense path and the campaign context.
 template <typename SolveStep>
 NewtonAttempt newton_attempt(const Circuit& circuit, const SolveOptions& opt,
                              const Structure& st, const NewtonSeed* seed,
@@ -406,213 +394,12 @@ NewtonAttempt newton_attempt(const Circuit& circuit, const SolveOptions& opt,
   return attempt;
 }
 
-/// Matrix sink of a sparse refill: adds each stamp into its frozen CSC slot,
-/// walking the slot sequence from stream position `t`; `ok` drops when the
-/// stamps run past `end` (the circuit no longer matches the plan).
-struct SlotCursor {
-  const std::int32_t* slot;
-  double* value;
-  std::size_t t;
-  std::size_t end;
-  bool ok = true;
-
-  void operator()(std::size_t, std::size_t, double v) {
-    if (t < end) {
-      value[static_cast<std::size_t>(slot[t++])] += v;
-    } else {
-      ok = false;
-    }
-  }
-  [[nodiscard]] bool stopped_at(std::size_t position) const { return ok && t == position; }
-};
-
-/// One circuit structure's frozen sparse assembly plan: the CSC pattern of
-/// the stamp pass plus the slot sequence that replays every later assembly
-/// as straight indexed adds. Building it runs the stamp pass once with a
-/// coordinate-recording sink; this is also where the per-structure shape
-/// validation happens exactly once — refills never re-derive the pattern.
-struct SparsePlan {
-  sparse::Pattern pattern;
-  std::vector<std::int32_t> slots;   ///< CSC slot of each recorded stamp, in order
-  std::vector<std::size_t> element_begin;  ///< stream position of each element's
-                                           ///< first stamp; back() = stream length
-  std::vector<double> values;        ///< CSC numeric array, refilled per assembly
-  std::uint64_t fingerprint = 0;     ///< pattern.fingerprint(), computed once
-  std::size_t dim = 0;
-  bool transient = false;
-  bool ready = false;
-
-  void build(const Circuit& circuit, const SolveOptions& opt, const CompanionState& state,
-             const Structure& st) {
-    sparse::SparseMetrics::get().plan_builds.add();
-    sparse::PatternBuilder builder;
-    builder.begin(st.dim);
-    std::vector<double> rhs_sink(st.dim, 0.0);
-    const std::size_t count = circuit.elements().size();
-    const std::vector<double> diode_guess(count, 0.6);
-    auto record = [&](std::size_t r, std::size_t c, double) { builder.add(r, c); };
-    stamp_gmin(opt, st, record);
-    element_begin.resize(count + 1);
-    for (std::size_t i = 0; i < count; ++i) {
-      element_begin[i] = builder.recorded();
-      stamp_element(circuit, i, opt, state, st, diode_guess, record, rhs_sink.data());
-    }
-    element_begin[count] = builder.recorded();
-    builder.freeze(pattern, slots);
-    fingerprint = pattern.fingerprint();
-    values.assign(pattern.nnz(), 0.0);
-    dim = st.dim;
-    transient = state.transient;
-    ready = true;
-  }
-
-  /// Numeric refill: zeroes `values`, replays the stamp pass through the
-  /// frozen slot sequence and writes `rhs` (pre-zeroed, dim entries) in the
-  /// same pass. Returns false if the stamp stream no longer matches the plan
-  /// (a structurally different circuit slipped in) — the caller must fall
-  /// back to dense rather than trust a half-filled matrix.
-  [[nodiscard]] bool refill(const Circuit& circuit, const SolveOptions& opt,
-                            const CompanionState& state, const Structure& st,
-                            const std::vector<double>& diode_v, double* rhs) {
-    std::fill(values.begin(), values.end(), 0.0);
-    SlotCursor cursor{slots.data(), values.data(), 0, slots.size()};
-    assemble_with(circuit, opt, state, st, diode_v, cursor, rhs);
-    return cursor.stopped_at(slots.size());
-  }
-
-  /// The part of a refill that holds for a whole Newton solve of `circuit`:
-  /// gmin and every element but the diodes, whose stamps alone move with the
-  /// linearisation point. Writes the partial sums into `fixed_values` and
-  /// `fixed_rhs` (both resized and zeroed first) and lists the diodes for
-  /// refill_diodes. Const, so one plan serves every campaign worker. Returns
-  /// false when `circuit` does not match the plan's stamp stream.
-  [[nodiscard, gnu::flatten]] bool refill_fixed(const Circuit& circuit, const SolveOptions& opt,
-                                  const CompanionState& state, const Structure& st,
-                                  std::vector<double>& fixed_values,
-                                  std::vector<double>& fixed_rhs,
-                                  std::vector<std::size_t>& diodes) const {
-    const auto& elements = circuit.elements();
-    if (element_begin.size() != elements.size() + 1) return false;
-    fixed_values.assign(pattern.nnz(), 0.0);
-    fixed_rhs.assign(st.dim, 0.0);
-    diodes.clear();
-    const std::vector<double> no_diode_v;  // read by diode stamps only, skipped here
-    SlotCursor cursor{slots.data(), fixed_values.data(), 0, element_begin[0]};
-    stamp_gmin(opt, st, cursor);
-    if (!cursor.stopped_at(element_begin[0])) return false;
-    for (std::size_t i = 0; i < elements.size(); ++i) {
-      if (elements[i].kind == ElementKind::Diode) {
-        diodes.push_back(i);
-        continue;
-      }
-      cursor.t = element_begin[i];
-      cursor.end = element_begin[i + 1];
-      stamp_element(circuit, i, opt, state, st, no_diode_v, cursor, fixed_rhs.data());
-      if (!cursor.stopped_at(element_begin[i + 1])) return false;
-    }
-    return true;
-  }
-
-  /// Completes one Newton iteration's refill: `values` and `rhs` hold a copy
-  /// of the fixed part, and every listed diode's stamps, linearised at
-  /// `diode_v`, are added on top. Returns false on a stamp-stream mismatch.
-  [[nodiscard, gnu::flatten]] bool refill_diodes(const Circuit& circuit, const SolveOptions& opt,
-                                   const CompanionState& state, const Structure& st,
-                                   const std::vector<double>& diode_v,
-                                   const std::vector<std::size_t>& diodes, double* values,
-                                   double* rhs) const {
-    SlotCursor cursor{slots.data(), values, 0, 0};
-    for (const std::size_t i : diodes) {
-      cursor.t = element_begin[i];
-      cursor.end = element_begin[i + 1];
-      stamp_element(circuit, i, opt, state, st, diode_v, cursor, rhs);
-      if (!cursor.stopped_at(element_begin[i + 1])) return false;
-    }
-    return true;
-  }
-};
-
-/// The one fill formula, in L+U entries: sparse_max_fill times a dense
-/// factor of max(n, kSparseMinDim) unknowns. A zero budget rejects every
-/// factorisation.
-[[nodiscard]] inline double fill_budget(std::size_t dim, const SolveOptions& opt) {
-  const double n = static_cast<double>(std::max(dim, kSparseMinDim));
-  return opt.sparse_max_fill * n * n;
-}
-
-/// How a FactorStep's next factorisation starts.
-enum class FactorStart {
-  Refactor,  ///< numeric replay over the symbolic the SparseLu holds (own or adopted)
-  Partial,   ///< partial_factor from `base` across deleted unknowns
-  Full,      ///< fresh ordering, symbolic and numeric factorisation
-};
-
-/// The one sparse factor step of the sim library, shared by the one-shot
-/// DC/transient solves, the AC sweep and the campaign context. The first
-/// call starts as `start` says; every later call refactors. A stale pivot
-/// re-pivots once with a fresh factor(), and a failed partial_factor falls
-/// back to factor(). Every new symbolic is held against fill_budget. On
-/// failure the step counts its one fallback reason, sets `message` and
-/// returns false; the caller retreats to the dense kernel.
-template <typename T>
-struct FactorStep {
-  FactorStart start = FactorStart::Full;
-  // The base of a Partial start (see SparseLu::partial_factor).
-  const sparse::Symbolic* base = nullptr;
-  const sparse::Pattern* base_pattern = nullptr;
-  const std::vector<std::int32_t>* new_of_old = nullptr;
-
-  [[nodiscard]] bool operator()(sparse::SparseLu<T>& lu, const sparse::Pattern& pattern,
-                                const T* values, const SolveOptions& opt,
-                                std::string& message) {
-    sparse::SparseMetrics& metrics = sparse::SparseMetrics::get();
-    obs::Counter* reason = &metrics.fallback_singular;
-    bool fresh = start != FactorStart::Refactor;  // a new symbolic comes out
-    bool ok = false;
-    if (!fresh) {
-      ok = lu.refactor(pattern, values, &message);
-      if (!ok) {
-        fresh = true;
-        ok = lu.factor(pattern, values, &message);
-        if (ok) {
-          metrics.repivots.add();
-        } else {
-          reason = &metrics.fallback_pivot;
-        }
-      }
-    } else {
-      ok = (start == FactorStart::Partial &&
-            lu.partial_factor(*base, *base_pattern, *new_of_old, pattern, values, nullptr,
-                              &message)) ||
-           lu.factor(pattern, values, &message);
-    }
-    if (ok && fresh && static_cast<double>(lu.lu_nnz()) > fill_budget(pattern.n, opt)) {
-      reason = &metrics.fallback_fill;
-      message = "sparse factorisation fill exceeded the density gate";
-      ok = false;
-    }
-    if (!ok) {
-      reason->add();
-      return false;
-    }
-    start = FactorStart::Refactor;
-    return true;
-  }
-};
-
-/// Reusable buffers of one solve path. Hoisted out of the Newton loop so an
-/// attempt allocates its matrix once, and shared across ladder rungs /
-/// transient steps by the callers. The sparse plan and factorisation ride
-/// along so a repeated-solve caller pays symbolic analysis once per
-/// structure; `sparse_disabled` is the sticky half of the fallback ladder —
-/// once any sparse attempt on this workspace misbehaves, every later
-/// attempt goes straight to the dense kernel.
+/// Reusable buffers of the dense solve path. Hoisted out of the Newton loop
+/// so an attempt allocates its matrix once, and shared across ladder rungs /
+/// transient steps by the callers.
 struct Workspace {
   dense::LuFactorization<double> lu;
   std::vector<double> rhs;
-  SparsePlan plan;
-  sparse::SparseLu<double> slu;
-  bool sparse_disabled = false;
 };
 
 /// The classic path: assemble the full matrix and factor it every iteration,
@@ -639,73 +426,6 @@ inline NewtonAttempt attempt_solve_dense(const Circuit& circuit, const SolveOpti
     return true;
   };
   return newton_attempt(circuit, opt, st, seed, deadline, solve_step);
-}
-
-/// One Newton attempt on the sparse kernel, at any dimension and with no
-/// dense retreat: the stamp plan is (re)derived when the structure changed,
-/// and every iteration refills it and takes one FactorStep. A failed attempt
-/// has counted its fallback reason (the step's, a stamp-stream mismatch, or
-/// plain non-convergence); the caller decides what happens next.
-inline NewtonAttempt attempt_solve_sparse(const Circuit& circuit, const SolveOptions& opt,
-                                          const CompanionState& state, const Structure& st,
-                                          const NewtonSeed* seed, const Deadline& deadline,
-                                          Workspace& ws) {
-  // (Re)derive the plan when the structure changed, e.g. between a transient
-  // run's DC initial condition and its stepping loop.
-  if (!ws.plan.ready || ws.plan.dim != st.dim || ws.plan.transient != state.transient) {
-    ws.plan.build(circuit, opt, state, st);
-  }
-  auto& metrics = sparse::SparseMetrics::get();
-  const sparse::Symbolic* held = ws.slu.symbolic().get();
-  FactorStep<double> step{held != nullptr && held->pattern_fingerprint == ws.plan.fingerprint
-                              ? FactorStart::Refactor
-                              : FactorStart::Full};
-  bool step_failed = false;  // a failed step has counted its own reason
-  auto solve_step = [&](const std::vector<double>& diode_v, std::vector<double>& x_out,
-                        SolveFailure& failure, std::string& message) {
-    ws.rhs.assign(st.dim, 0.0);
-    if (!ws.plan.refill(circuit, opt, state, st, diode_v, ws.rhs.data())) {
-      metrics.fallback_singular.add();
-      message = "sparse plan does not match the stamped circuit";
-    } else if (step(ws.slu, ws.plan.pattern, ws.plan.values.data(), opt, message)) {
-      ws.slu.solve_in_place(ws.rhs.data());
-      x_out = ws.rhs;
-      return true;
-    }
-    step_failed = true;
-    failure = SolveFailure::Singular;
-    return false;
-  };
-  NewtonAttempt attempt = newton_attempt(circuit, opt, st, seed, deadline, solve_step);
-  if (!attempt.converged && !step_failed) metrics.fallback_not_converged.add();
-  return attempt;
-}
-
-/// The default path: the sparse kernel for systems of at least kSparseMinDim
-/// unknowns, with a fall-back-on-anything-suspicious ladder onto the dense
-/// kernel. A sparse attempt that misbehaves in *any* way — singular
-/// factorisation, a pivot-gate trip that a fresh factorisation cannot heal,
-/// fill blow-up, a stamp-stream mismatch, or plain Newton non-convergence —
-/// is re-run in full on the dense kernel (identical classification and
-/// messages to attempt_solve_dense) and this workspace's sparse path is
-/// disabled for good. The dense kernel therefore stays the behavioural
-/// oracle: enabling sparse can only change which rounding a *converged*
-/// solution carries, never whether or how an attempt fails.
-inline NewtonAttempt attempt_solve_auto(const Circuit& circuit, const SolveOptions& opt,
-                                        const CompanionState& state, const Structure& st,
-                                        const NewtonSeed* seed, const Deadline& deadline,
-                                        Workspace& ws) {
-  if (!opt.sparse || ws.sparse_disabled) {
-    return attempt_solve_dense(circuit, opt, state, st, seed, deadline, ws);
-  }
-  if (st.dim < kSparseMinDim) {
-    sparse::SparseMetrics::get().fallback_small_dim.add();
-    return attempt_solve_dense(circuit, opt, state, st, seed, deadline, ws);
-  }
-  NewtonAttempt attempt = attempt_solve_sparse(circuit, opt, state, st, seed, deadline, ws);
-  if (attempt.converged) return attempt;
-  ws.sparse_disabled = true;
-  return attempt_solve_dense(circuit, opt, state, st, seed, deadline, ws);
 }
 
 OperatingPoint make_operating_point(const Circuit& circuit, const SolveResult& solved);

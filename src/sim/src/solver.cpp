@@ -12,7 +12,6 @@
 #include "decisive/obs/registry.hpp"
 #include "decisive/obs/span.hpp"
 #include "decisive/sim/dense.hpp"
-#include "decisive/sim/sparse.hpp"
 #include "mna.hpp"
 
 namespace decisive::sim {
@@ -91,7 +90,7 @@ mna::SolveResult solve_system(const Circuit& circuit, const SolveOptions& opt,
                               const mna::CompanionState& state, mna::Workspace& ws) {
   const mna::Structure st = mna::analyze_structure(circuit, state.transient);
   mna::NewtonAttempt attempt =
-      mna::attempt_solve_auto(circuit, opt, state, st, nullptr, std::nullopt, ws);
+      mna::attempt_solve_dense(circuit, opt, state, st, nullptr, std::nullopt, ws);
   if (!attempt.converged) throw SimulationError(attempt.message);
   return std::move(attempt.result);
 }
@@ -142,7 +141,7 @@ std::optional<OperatingPoint> try_dc_operating_point(const Circuit& circuit,
 
   // Rung 0: plain Newton.
   mna::NewtonAttempt plain =
-      mna::attempt_solve_auto(circuit, options, state, structure, nullptr, deadline, ws);
+      mna::attempt_solve_dense(circuit, options, state, structure, nullptr, deadline, ws);
   diagnostics.iterations += plain.iterations;
   if (plain.converged || !options.recovery_ladder ||
       plain.failure == SolveFailure::WallClockBudget) {
@@ -163,7 +162,7 @@ std::optional<OperatingPoint> try_dc_operating_point(const Circuit& circuit,
     for (int k = 0; k < steps; ++k) {
       const double t = static_cast<double>(k) / (steps - 1);
       damped.gmin = start_gmin * std::pow(options.gmin / start_gmin, t);
-      mna::NewtonAttempt attempt = mna::attempt_solve_auto(
+      mna::NewtonAttempt attempt = mna::attempt_solve_dense(
           circuit, damped, state, structure, seed.x.empty() ? nullptr : &seed, deadline, ws);
       diagnostics.iterations += attempt.iterations;
       seed.x = attempt.x;
@@ -197,7 +196,7 @@ std::optional<OperatingPoint> try_dc_operating_point(const Circuit& circuit,
           scaled.elements()[i].value = original[i] * alpha;
         }
       }
-      mna::NewtonAttempt attempt = mna::attempt_solve_auto(
+      mna::NewtonAttempt attempt = mna::attempt_solve_dense(
           scaled, options, state, structure, seed.x.empty() ? nullptr : &seed, deadline, ws);
       diagnostics.iterations += attempt.iterations;
       seed.x = attempt.x;
@@ -255,7 +254,7 @@ std::vector<TransientSample> transient(const Circuit& circuit, double t_end, dou
   for (long long k = 1; k <= n_steps; ++k) {
     const double t = static_cast<double>(k) * dt;
     mna::NewtonAttempt attempt =
-        mna::attempt_solve_auto(circuit, options, state, structure, nullptr, std::nullopt, ws);
+        mna::attempt_solve_dense(circuit, options, state, structure, nullptr, std::nullopt, ws);
     if (!attempt.converged) throw SimulationError(attempt.message);
     const mna::SolveResult& step = attempt.result;
     // Update storage-element history for the next step.
@@ -295,15 +294,12 @@ std::vector<AcSample> ac_analysis(const Circuit& circuit, const std::string& sti
   const std::vector<int>& branch_index = st.branch_index;
   const size_t dim = st.dim;
 
-  // The AC stamp pass over an arbitrary matrix sink, mirroring the
-  // mna::assemble_with idiom: the dense leg adds into flat storage, the
-  // sparse leg records coordinates at the first frequency and replays them
-  // through the frozen slot sequence at every later one. The add stream is
-  // frequency-independent (only the *values* carry jw), which is exactly
-  // what makes the pattern reusable across the sweep.
+  // The AC stamp pass into flat row-major storage. Like the DC assembly it
+  // is one pass per frequency: only the values carry jw.
   auto vrow = [](int node) { return static_cast<size_t>(node - 1); };
-  auto stamp_system = [&](auto&& add, std::complex<double>* out_rhs,
+  auto stamp_system = [&](std::complex<double>* a, std::complex<double>* out_rhs,
                           const std::complex<double>& jw) {
+    auto add = [a, dim](size_t r, size_t c, std::complex<double> v) { a[r * dim + c] += v; };
     auto stamp_admittance = [&](int na, int nb, std::complex<double> y) {
       if (na != 0) add(vrow(na), vrow(na), y);
       if (nb != 0) add(vrow(nb), vrow(nb), y);
@@ -372,60 +368,15 @@ std::vector<AcSample> ac_analysis(const Circuit& circuit, const std::string& sti
   dense::LuFactorization<std::complex<double>> lu;
   std::vector<std::complex<double>> rhs;
 
-  // Sparse sweep state: pattern built lazily at the first sparse point, then
-  // one FactorStep per frequency (a full factor first, refactors after). Any
-  // trouble (singular, pivot gate, fill blow-up) drops the rest of the sweep
-  // onto the dense kernel — same fall-back-on-anything-suspicious ladder as
-  // the DC path.
-  bool use_sparse = opt.sparse && dim >= kSparseMinDim;
-  if (opt.sparse && !use_sparse) sparse::SparseMetrics::get().fallback_small_dim.add();
-  sparse::Pattern pattern;
-  std::vector<std::int32_t> slots;
-  std::vector<std::complex<double>> values;
-  sparse::SparseLu<std::complex<double>> slu;
-  mna::FactorStep<std::complex<double>> step;
-
   std::vector<AcSample> sweep;
   for (const double frequency : frequencies_hz) {
     if (frequency <= 0.0) throw SimulationError("AC frequencies must be positive");
     const std::complex<double> jw(0.0, 2.0 * std::numbers::pi * frequency);
-
-    bool solved = false;
-    if (use_sparse) {
-      if (pattern.n == 0) {
-        sparse::PatternBuilder builder;
-        builder.begin(dim);
-        rhs.assign(dim, 0.0);
-        stamp_system([&](size_t r, size_t c, std::complex<double>) { builder.add(r, c); },
-                     rhs.data(), jw);
-        builder.freeze(pattern, slots);
-        values.resize(pattern.nnz());
-      }
-      std::fill(values.begin(), values.end(), std::complex<double>(0.0, 0.0));
-      rhs.assign(dim, 0.0);
-      size_t t = 0;
-      stamp_system(
-          [&](size_t, size_t, std::complex<double> v) {
-            values[static_cast<size_t>(slots[t++])] += v;
-          },
-          rhs.data(), jw);
-      std::string err;
-      if (step(slu, pattern, values.data(), opt, err)) {
-        slu.solve_in_place(rhs.data());
-        solved = true;
-      } else {
-        use_sparse = false;  // sticky: rest of the sweep runs dense
-      }
-    }
-    if (!solved) {
-      std::vector<std::complex<double>>& a = lu.reset(dim);
-      rhs.assign(dim, 0.0);
-      stamp_system(
-          [&a, dim](size_t r, size_t c, std::complex<double> v) { a[r * dim + c] += v; },
-          rhs.data(), jw);
-      lu.factor("singular AC system");
-      lu.solve_in_place(rhs.data());
-    }
+    std::vector<std::complex<double>>& a = lu.reset(dim);
+    rhs.assign(dim, 0.0);
+    stamp_system(a.data(), rhs.data(), jw);
+    lu.factor("singular AC system");
+    lu.solve_in_place(rhs.data());
     const std::vector<std::complex<double>>& x = rhs;
     auto node_v = [&](int node) -> std::complex<double> {
       return node == 0 ? 0.0 : x[vrow(node)];

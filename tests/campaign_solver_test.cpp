@@ -252,8 +252,9 @@ TEST(BatchContext, NominalPointMatchesClassicSolve) {
 }
 
 TEST(BatchContext, SolvedFaultAgreesWithFreshSolve) {
-  // A 4-stage rail sits far below kSparseMinDim: the campaign context
-  // still runs, because its symbolic analysis is paid once per campaign.
+  // A 4-stage rail sits far below the fill floor's 48 unknowns: the
+  // campaign context still runs, because its symbolic analysis is paid once
+  // per campaign.
   const auto built = bench_rail(4);
   const sim::SolveOptions options;
   const sim::CampaignSparseContext context(built.circuit, options);

@@ -661,6 +661,27 @@ TEST(Cli, FmeaRejectsNonFiniteAndOverflowingFits) {
   EXPECT_NE(overflow.exit_code, 0) << overflow.output;
   EXPECT_NE(overflow.output.find("FIT sum is not finite"), std::string::npos) << overflow.output;
   EXPECT_EQ(overflow.output.find("ASIL-D"), std::string::npos) << overflow.output;
+  // The metric fails before the report starts: no FMEDA table on stdout.
+  EXPECT_EQ(overflow.output.find("Single_Point_Failure_Rate"), std::string::npos)
+      << overflow.output;
+}
+
+TEST(Cli, GraphFmeaWithAnUndefinedSpfmPrintsNoTable) {
+  // A NaN distribution in the model file makes the SPFM undefined: the
+  // command fails before printing any FMEDA row, `nan%` included.
+  TempDir tmp;
+  std::string model = slurp(kAssets + "/brake_chain.ssam");
+  const std::string share = "value=\"0.6\"";
+  const size_t at = model.find(share);
+  ASSERT_NE(at, std::string::npos);
+  model.replace(at, share.size(), "value=\"nan\"");
+  const auto path = (tmp.path / "nan.ssam").string();
+  std::ofstream(path) << model;
+  const auto result = run("graph-fmea " + path + " --component BrakeChain");
+  EXPECT_NE(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("SPFM undefined"), std::string::npos) << result.output;
+  EXPECT_EQ(result.output.find("nan%"), std::string::npos) << result.output;
+  EXPECT_EQ(result.output.find("Single_Point_Failure_Rate"), std::string::npos) << result.output;
 }
 
 TEST(Cli, ShardedJournalsMergeToTheUnshardedFmeda) {

@@ -622,6 +622,44 @@ TEST(ServiceTest, NonNumericSharesAndCostsAreRejectedAndTheSessionStaysUsable) {
             text.substr(second, text.find('\n', second + 1) - second));
 }
 
+TEST(ServiceTest, UndefinedSpfmAnswersOneErrorLineAndTheSessionRecovers) {
+  ServiceOptions options;
+  options.model_path = DECISIVE_ASSETS_DIR "/brake_chain.ssam";
+  options.component = "BrakeChain";
+
+  // Two finite FITs whose sum overflows: reanalyze fails, and so must the
+  // `result` that follows, as one `error:` line with no partial reply.
+  std::istringstream in(
+      "set-fit Sensor 1e308\n"
+      "set-fit Driver 1e308\n"
+      "reanalyze\n"
+      "result\n"
+      "set-fit Sensor 100\n"
+      "set-fit Driver 100\n"
+      "reanalyze\n"
+      "result\n"
+      "quit\n");
+  std::ostringstream out;
+  EXPECT_EQ(run_service(in, out, options), 0);
+
+  const std::string text = out.str();
+  const std::string undefined =
+      "error: analysis error: SPFM undefined: a safety-related FIT sum is not finite\n";
+  EXPECT_NE(text.find("fit(Driver) = 1e308\nok\n" + undefined + undefined + "fit(Sensor) = 100\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("spfm error"), std::string::npos) << text;
+  // Back on finite FITs, reanalyze and result answer normally.
+  const size_t restored = text.find("fit(Driver) = 100\nok\n");
+  ASSERT_NE(restored, std::string::npos) << text;
+  const std::string tail = text.substr(restored);
+  EXPECT_NE(tail.find("rows 2 spfm 35.00% ASIL-A\n"), std::string::npos) << text;
+  EXPECT_NE(tail.find("\nok\nspfm 35.00%\nasil ASIL-A\nrows 2 safety-related 2 warnings 0\nok\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(tail.find("error:"), std::string::npos) << text;
+}
+
 TEST(ServiceTest, FtaRequestIsFingerprintCached) {
   ServiceOptions options;
   options.model_path = DECISIVE_ASSETS_DIR "/brake_chain.ssam";

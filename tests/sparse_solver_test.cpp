@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <complex>
 #include <cstdint>
 #include <filesystem>
 #include <random>
@@ -16,6 +15,7 @@
 #include "decisive/core/circuit_fmea.hpp"
 #include "decisive/obs/registry.hpp"
 #include "decisive/sim/builder.hpp"
+#include "decisive/sim/campaign_solver.hpp"
 #include "decisive/sim/dense.hpp"
 #include "decisive/sim/solver.hpp"
 #include "decisive/sim/sparse.hpp"
@@ -142,7 +142,7 @@ TEST(SparseLu, FactorMatchesDenseOracle) {
   for (int round = 0; round < 40; ++round) {
     const std::size_t n = 1 + static_cast<std::size_t>(rng() % 60);
     TestSystem sys = make_system(rng, n);
-    sparse::SparseLu<double> lu;
+    sparse::SparseLu lu;
     std::string error;
     ASSERT_TRUE(lu.factor(sys.pattern, sys.values.data(), &error)) << error;
     const std::vector<double> b = random_rhs(rng, n);
@@ -153,43 +153,10 @@ TEST(SparseLu, FactorMatchesDenseOracle) {
   }
 }
 
-TEST(SparseLu, ComplexFactorMatchesDenseOracle) {
-  std::mt19937 rng(43);
-  for (int round = 0; round < 10; ++round) {
-    const std::size_t n = 2 + static_cast<std::size_t>(rng() % 40);
-    TestSystem sys = make_system(rng, n);
-    // Promote to complex with a frequency-like imaginary part on the
-    // diagonal slots.
-    std::vector<std::complex<double>> values(sys.values.size());
-    std::vector<std::vector<std::complex<double>>> dense_c(
-        n, std::vector<std::complex<double>>(n, 0.0));
-    for (std::size_t i = 0; i < sys.values.size(); ++i) values[i] = sys.values[i];
-    for (std::size_t c = 0; c < n; ++c) {
-      for (std::int32_t p = sys.pattern.col_ptr[c]; p < sys.pattern.col_ptr[c + 1]; ++p) {
-        const auto r = static_cast<std::size_t>(sys.pattern.row_ind[static_cast<std::size_t>(p)]);
-        if (r == c) values[static_cast<std::size_t>(p)] += std::complex<double>(0.0, 0.5);
-        dense_c[r][c] = values[static_cast<std::size_t>(p)];
-      }
-    }
-    sparse::SparseLu<std::complex<double>> lu;
-    std::string error;
-    ASSERT_TRUE(lu.factor(sys.pattern, values.data(), &error)) << error;
-    std::vector<std::complex<double>> b(n);
-    for (auto& v : b) v = std::complex<double>(static_cast<double>(rng() % 7) - 3.0, 1.0);
-    std::vector<std::complex<double>> x = b;
-    lu.solve_in_place(x.data());
-    const std::vector<std::complex<double>> oracle = dense::solve_dense(dense_c, b, "singular");
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_LT(std::abs(x[i] - oracle[i]), 1e-8 * (1.0 + std::abs(oracle[i])))
-          << "round " << round << " index " << i;
-    }
-  }
-}
-
 TEST(SparseLu, RefactorReplaysNewValuesOverFrozenPattern) {
   std::mt19937 rng(44);
   TestSystem sys = make_system(rng, 30);
-  sparse::SparseLu<double> lu;
+  sparse::SparseLu lu;
   std::string error;
   ASSERT_TRUE(lu.factor(sys.pattern, sys.values.data(), &error)) << error;
   const std::uint64_t factors_before = sparse::SparseMetrics::get().factors.value();
@@ -230,7 +197,7 @@ TEST(SparseLu, RefactorPivotGateTripsOnDegradedPivot) {
   good[static_cast<std::size_t>(slots[1])] = 1.0;   // (1,0)
   good[static_cast<std::size_t>(slots[2])] = 1.0;   // (0,1)
   good[static_cast<std::size_t>(slots[3])] = 10.0;  // (1,1)
-  sparse::SparseLu<double> lu;
+  sparse::SparseLu lu;
   std::string error;
   ASSERT_TRUE(lu.factor(pattern, good.data(), &error)) << error;
 
@@ -260,7 +227,7 @@ TEST(SparseLu, SingularSystemReturnsFalseNotGarbage) {
   std::vector<std::int32_t> slots;
   builder.freeze(pattern, slots);
   std::vector<double> values = {1.0, 0.0};
-  sparse::SparseLu<double> lu;
+  sparse::SparseLu lu;
   std::string error;
   EXPECT_FALSE(lu.factor(pattern, values.data(), &error));
   EXPECT_NE(error.find("singular"), std::string::npos) << error;
@@ -278,7 +245,7 @@ TEST(SparseLu, TinyWellScaledSystemIsNotSingular) {
   std::vector<std::int32_t> slots;
   builder.freeze(pattern, slots);
   std::vector<double> values = {1e-32, 2e-32};
-  sparse::SparseLu<double> lu;
+  sparse::SparseLu lu;
   std::string error;
   ASSERT_TRUE(lu.factor(pattern, values.data(), &error)) << error;
   std::vector<double> x = {1e-32, 2e-32};
@@ -292,7 +259,7 @@ TEST(SparseLu, PartialFactorReusesCleanPrefixAcrossDeletion) {
   for (int round = 0; round < 20; ++round) {
     const std::size_t n = 8 + static_cast<std::size_t>(rng() % 40);
     TestSystem base = make_system(rng, n);
-    sparse::SparseLu<double> base_lu;
+    sparse::SparseLu base_lu;
     std::string error;
     ASSERT_TRUE(base_lu.factor(base.pattern, base.values.data(), &error)) << error;
 
@@ -317,7 +284,7 @@ TEST(SparseLu, PartialFactorReusesCleanPrefixAcrossDeletion) {
     builder.freeze(edited.pattern, edited.slots);
     edited.assemble();
 
-    sparse::SparseLu<double> lu;
+    sparse::SparseLu lu;
     std::size_t reused = 0;
     ASSERT_TRUE(lu.partial_factor(*base_lu.symbolic(), base.pattern, new_of_old,
                                   edited.pattern, edited.values.data(), &reused, &error))
@@ -356,7 +323,7 @@ TEST(SparseLu, PartialFactorReportsReusedColumns) {
   for (std::size_t t = 0; t < stamps.size(); ++t) {
     values[static_cast<std::size_t>(slots[t])] += stamps[t].second;
   }
-  sparse::SparseLu<double> base_lu;
+  sparse::SparseLu base_lu;
   std::string error;
   ASSERT_TRUE(base_lu.factor(pattern, values.data(), &error)) << error;
 
@@ -385,7 +352,7 @@ TEST(SparseLu, PartialFactorReportsReusedColumns) {
     edited_values[static_cast<std::size_t>(edited_slots[t])] += edited_stamps[t].second;
   }
 
-  sparse::SparseLu<double> lu;
+  sparse::SparseLu lu;
   std::size_t reused = 0;
   ASSERT_TRUE(lu.partial_factor(*base_lu.symbolic(), pattern, new_of_old, edited_pattern,
                                 edited_values.data(), &reused, &error))
@@ -399,13 +366,13 @@ TEST(SparseLu, PartialFactorReportsReusedColumns) {
 TEST(SparseLu, AdoptedSymbolicRefactorsWithoutOwnFactor) {
   std::mt19937 rng(46);
   TestSystem sys = make_system(rng, 24);
-  sparse::SparseLu<double> owner;
+  sparse::SparseLu owner;
   std::string error;
   ASSERT_TRUE(owner.factor(sys.pattern, sys.values.data(), &error)) << error;
 
   // A second instance (another campaign worker) adopts the shared symbolic
   // and goes straight to the numeric replay.
-  sparse::SparseLu<double> worker;
+  sparse::SparseLu worker;
   worker.adopt(owner.symbolic());
   ASSERT_TRUE(worker.refactor(sys.pattern, sys.values.data(), &error)) << error;
   const std::vector<double> b = random_rhs(rng, 24);
@@ -453,35 +420,17 @@ std::uint64_t counter_value(const char* name) {
   return obs::Registry::global().counter(name).value();
 }
 
-/// The sparse kernel counters a test reads to prove its sparse leg ran.
+/// The sparse kernel counters a test reads to prove its sparse leg ran (or
+/// that a dense-only one did not).
 struct SparseCounts {
   std::uint64_t factors = 0;
   std::uint64_t refactors = 0;
-  std::uint64_t fill = 0;
 
   static SparseCounts now() {
     return SparseCounts{counter_value("decisive_sparse_factors_total"),
-                        counter_value("decisive_sparse_refactors_total"),
-                        counter_value("decisive_sparse_fallback_fill_total")};
+                        counter_value("decisive_sparse_refactors_total")};
   }
 };
-
-/// Sparse and dense AC sweeps agree to solver precision on every complex
-/// reading (compared as complex numbers: a tiny reading's phase is noise).
-void expect_ac_close(const std::vector<AcSample>& sparse, const std::vector<AcSample>& dense) {
-  ASSERT_EQ(sparse.size(), dense.size());
-  for (std::size_t k = 0; k < dense.size(); ++k) {
-    EXPECT_EQ(sparse[k].frequency_hz, dense[k].frequency_hz);
-    ASSERT_EQ(sparse[k].readings.size(), dense[k].readings.size());
-    for (const auto& [name, polar] : dense[k].readings) {
-      const auto& [magnitude, phase] = sparse[k].readings.at(name);
-      const std::complex<double> expected = std::polar(polar.first, polar.second);
-      EXPECT_LE(std::abs(std::polar(magnitude, phase) - expected),
-                1e-9 * std::max(1.0, std::abs(expected)))
-          << "reading " << name << " at " << dense[k].frequency_hz << " Hz";
-    }
-  }
-}
 
 }  // namespace
 
@@ -529,7 +478,8 @@ TEST(SparseCampaign, SparseTierActuallySolvesRowsAndReusesSymbolic) {
 
 TEST(SparseCampaign, ContextRunsBelowSparseMinDim) {
   // The campaign pays its symbolic analysis once, so the fast path runs at
-  // every dimension: a small rail far below kSparseMinDim still takes it.
+  // every dimension: a small rail far below the fill floor's 48 unknowns
+  // still takes it.
   const sim::BuiltCircuit built = rail_subjects::bench_rail(4);
   const core::ReliabilityModel reliability = rail_subjects::bench_rail_reliability();
   const std::uint64_t rows0 = counter_value("decisive_campaign_sparse_rows_total");
@@ -577,88 +527,34 @@ TEST(SparseCampaign, JournalsInterchangeBetweenSparseAndDenseRuns) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(SparseSolver, DcOperatingPointMatchesDenseToSolverPrecision) {
-  // The solver-level contract is *correctness*, not bit-identity: the sparse
-  // kernel pivots differently, so readings agree to solver precision only.
-  // (Byte-identity is a campaign-level promise, tested above.)
-  const sim::BuiltCircuit built = random_rail(13u, 60);  // above kSparseMinDim
-  SolveOptions dense_opt;
-  dense_opt.sparse = false;
+TEST(SparseCampaign, ContextNominalPointMatchesDenseToSolverPrecision) {
+  // The context's nominal solve is the campaign's only sparse DC solve: it
+  // must agree with the dense one-shot solve to solver precision (the sparse
+  // kernel pivots differently, so not bit for bit).
+  const sim::BuiltCircuit built = random_rail(13u, 60);
   const SparseCounts before = SparseCounts::now();
-  const OperatingPoint a = dc_operating_point(built.circuit, dense_opt);
-  const OperatingPoint b = dc_operating_point(built.circuit, SolveOptions{});
-  EXPECT_GT(SparseCounts::now().factors, before.factors) << "the DC solve never went sparse";
-  ASSERT_EQ(a.readings.size(), b.readings.size());
-  for (const auto& [name, value] : a.readings) {
-    EXPECT_NEAR(b.reading(name), value, 1e-6 * std::max(1.0, std::abs(value)))
+  const CampaignSparseContext context(built.circuit, SolveOptions{});
+  ASSERT_TRUE(context.usable());
+  EXPECT_GT(SparseCounts::now().factors, before.factors) << "the context never factored sparse";
+  const OperatingPoint dense = dc_operating_point(built.circuit);
+  ASSERT_EQ(context.nominal_point().readings.size(), dense.readings.size());
+  for (const auto& [name, value] : dense.readings) {
+    EXPECT_NEAR(context.nominal_point().reading(name), value,
+                1e-6 * std::max(1.0, std::abs(value)))
         << "reading " << name;
   }
 }
 
-TEST(SparseSolver, AcSweepMatchesDenseToSolverPrecision) {
+TEST(SparseSolver, OneShotSolvesStayOnTheDenseKernel) {
+  // The campaign context is the sparse kernel's one caller: default-option
+  // DC, transient and AC solves of a system far above the fill floor's 48
+  // unknowns factor nothing sparse.
   const sim::BuiltCircuit built = random_rail(13u, 60);
-  const std::vector<double> frequencies = {10.0, 1e3, 1e5, 1e7};
-  SolveOptions dense_opt;
-  dense_opt.sparse = false;
-  const auto dense = ac_analysis(built.circuit, "V1", frequencies, dense_opt);
-
-  // The extra frequencies of a sweep refactor the complex symbolic of the
-  // first; a one-point sweep runs the same DC linearisation and first
-  // factor, so the difference counts the sweep's own refactors.
   const SparseCounts before = SparseCounts::now();
-  (void)ac_analysis(built.circuit, "V1", {frequencies.front()});
-  const SparseCounts one_point = SparseCounts::now();
-  const auto sparse = ac_analysis(built.circuit, "V1", frequencies);
+  (void)dc_operating_point(built.circuit);
+  (void)transient(built.circuit, 1e-5, 1e-6);
+  (void)ac_analysis(built.circuit, "V1", {10.0, 1e3, 1e5});
   const SparseCounts after = SparseCounts::now();
-  EXPECT_GT(after.factors, one_point.factors) << "the AC sweep never went sparse";
-  EXPECT_GE((after.refactors - one_point.refactors) - (one_point.refactors - before.refactors),
-            frequencies.size() - 1)
-      << "the AC sweep did not refactor once per extra frequency";
-  expect_ac_close(sparse, dense);
-}
-
-TEST(SparseSolver, AcFillGateFallsBackToDense) {
-  // A zero fill budget rejects the sweep's first factorisation: the sweep
-  // runs dense from there and still matches. One fill trip is the DC
-  // linearisation point's, one the sweep's.
-  const sim::BuiltCircuit built = random_rail(13u, 60);
-  const std::vector<double> frequencies = {10.0, 1e5};
-  SolveOptions dense_opt;
-  dense_opt.sparse = false;
-  SolveOptions gated;
-  gated.sparse_max_fill = 0.0;
-  const SparseCounts before = SparseCounts::now();
-  const auto sparse = ac_analysis(built.circuit, "V1", frequencies, gated);
-  EXPECT_EQ(SparseCounts::now().fill - before.fill, 2u);
-  expect_ac_close(sparse, ac_analysis(built.circuit, "V1", frequencies, dense_opt));
-}
-
-TEST(SparseSolver, TransientMatchesDenseToSolverPrecision) {
-  const sim::BuiltCircuit built = random_rail(13u, 60);
-  const double dt = 1e-6;
-  SolveOptions dense_opt;
-  dense_opt.sparse = false;
-  const auto dense = transient(built.circuit, 10 * dt, dt, dense_opt);
-
-  // Every step after the first refactors the transient symbolic: a one-step
-  // run pays the same DC initial condition and first factor.
-  const SparseCounts before = SparseCounts::now();
-  (void)transient(built.circuit, dt, dt);
-  const SparseCounts one_step = SparseCounts::now();
-  const auto sparse = transient(built.circuit, 10 * dt, dt);
-  const SparseCounts after = SparseCounts::now();
-  EXPECT_GT(after.factors, one_step.factors) << "the transient run never went sparse";
-  EXPECT_GE((after.refactors - one_step.refactors) - (one_step.refactors - before.refactors),
-            9u)
-      << "the transient steps did not refactor";
-
-  ASSERT_EQ(sparse.size(), dense.size());
-  for (std::size_t k = 0; k < dense.size(); ++k) {
-    EXPECT_EQ(sparse[k].time, dense[k].time);
-    ASSERT_EQ(sparse[k].point.readings.size(), dense[k].point.readings.size());
-    for (const auto& [name, value] : dense[k].point.readings) {
-      EXPECT_NEAR(sparse[k].point.reading(name), value, 1e-6 * std::max(1.0, std::abs(value)))
-          << "reading " << name << " at step " << k;
-    }
-  }
+  EXPECT_EQ(after.factors, before.factors);
+  EXPECT_EQ(after.refactors, before.refactors);
 }

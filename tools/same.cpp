@@ -178,8 +178,8 @@ int usage() {
       "      to an all-NotApplicable table instead of exit 4.\n"
       "      The campaign analyses the nominal system's stamp pattern once\n"
       "      and refactors every fault's numbers through it; --no-sparse\n"
-      "      pins every solve to the dense kernel (byte-identical output,\n"
-      "      escape hatch only).\n"
+      "      turns that factor-once context off and solves every fault on\n"
+      "      the dense kernel (byte-identical output, escape hatch only).\n"
       "      Flight recorder: a progress heartbeat JSON is published next\n"
       "      to the journal (or at --heartbeat) and refreshed at most every\n"
       "      --heartbeat-interval seconds (default 1); watch it live with\n"
@@ -399,10 +399,12 @@ int cmd_graph_fmea(const Args& args) {
   ssam::SsamModel model;
   const auto component = load_component(model, args.positional[0], component_name);
   const auto result = core::analyze_component(model, component, options);
+  // The metric first: an undefined SPFM fails before any table is printed.
+  const std::string spfm = format_percent(result.spfm());
+  const std::string asil = result.asil_label();
   std::printf("%s\n", result.to_text().render().c_str());
   for (const auto& warning : result.warnings) std::printf("note: %s\n", warning.c_str());
-  std::printf("\nSPFM = %s  ->  %s\n", format_percent(result.spfm()).c_str(),
-              result.asil_label().c_str());
+  std::printf("\nSPFM = %s  ->  %s\n", spfm.c_str(), asil.c_str());
   if (out.has_value()) {
     write_csv_file(*out, result.to_csv());
     std::printf("FMEDA written to %s\n", out->c_str());
@@ -505,11 +507,13 @@ int cmd_sm_search(const Args& args) {
 /// `merge-journals`: a merged result must be indistinguishable from what an
 /// unsharded `same fmea` run would have printed and written.
 int report_campaign(const core::FmedaResult& result, const std::optional<std::string>& out) {
+  // The metric first: an undefined SPFM fails before any table is printed.
+  const double spfm = result.spfm();
+  const std::string asil = core::achieved_asil(spfm);
   std::printf("%s\n", result.to_text().render().c_str());
   for (const auto& warning : result.warnings) std::printf("note: %s\n", warning.c_str());
   std::printf("\ncampaign: %s\n", result.outcome_summary().c_str());
-  std::printf("SPFM = %s  ->  %s\n", format_percent(result.spfm()).c_str(),
-              core::achieved_asil(result.spfm()).c_str());
+  std::printf("SPFM = %s  ->  %s\n", format_percent(spfm).c_str(), asil.c_str());
   if (out.has_value()) {
     write_csv_file(*out, result.to_csv());
     std::printf("FMEDA written to %s\n", out->c_str());
